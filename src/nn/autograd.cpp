@@ -2,12 +2,121 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 namespace heterog::nn {
+
+Matrix Workspace::take(int rows, int cols) {
+  const int64_t count = static_cast<int64_t>(rows) * cols;
+  auto it = free_.find(count);
+  if (count == 0 || it == free_.end() || it->second.empty()) {
+    return Matrix::uninitialized(rows, cols);
+  }
+  Matrix m = std::move(it->second.back());
+  it->second.pop_back();
+  m.reshape(rows, cols);
+  return m;
+}
+
+void Workspace::give(Matrix m) {
+  if (m.size() == 0) return;
+  free_[m.size()].push_back(std::move(m));
+}
+
+size_t Workspace::held() const {
+  size_t total = 0;
+  for (const auto& [count, buffers] : free_) total += buffers.size();
+  return total;
+}
+
+namespace {
+
+bool has_grad(const VarData& v) {
+  return v.grad.rows() == v.value.rows() && v.grad.cols() == v.value.cols();
+}
+
+/// v's grad, zero-filled on first use: for backward passes that scatter
+/// into it or touch only part of it.
+Matrix& zeroed_grad(Workspace& ws, VarData& v) {
+  if (!has_grad(v)) {
+    v.grad = ws.take(v.value.rows(), v.value.cols());
+    v.grad.fill(0.0);
+  }
+  return v.grad;
+}
+
+/// Element-wise accumulation into v's grad for backward passes that write
+/// every element exactly once. A grad not yet allocated is taken unfilled
+/// and each element becomes 0.0 + t: the operation a zero-filled grad would
+/// see, without the fill. A skipped term is added as -0.0, which leaves
+/// every double unchanged (and gives +0.0 on a fresh grad, as the fill did).
+class GradSink {
+ public:
+  GradSink(Workspace& ws, VarData& v) : fresh_(!has_grad(v)) {
+    if (fresh_) v.grad = ws.take(v.value.rows(), v.value.cols());
+    g_ = v.grad.data();
+  }
+  void add(int64_t i, double t) const { g_[i] = (fresh_ ? 0.0 : g_[i]) + t; }
+
+ private:
+  bool fresh_;
+  double* g_ = nullptr;
+};
+
+/// out[i] = value(i) over a rows x cols output from the workspace.
+template <typename Value>
+Matrix elementwise(Workspace& ws, int rows, int cols, Value&& value) {
+  Matrix out = ws.take(rows, cols);
+  for (int64_t i = 0; i < out.size(); ++i) out.data()[i] = value(i);
+  return out;
+}
+
+/// grad(v) += term(i) for every element i through a GradSink; nothing when
+/// v needs no grad.
+template <typename Term>
+void accumulate(Workspace& ws, VarData& v, Term&& term) {
+  if (!v.requires_grad) return;
+  const GradSink sink(ws, v);
+  for (int64_t i = 0; i < v.value.size(); ++i) sink.add(i, term(i));
+}
+
+/// grad(v) += P, where kernel(out) writes the product P into `out`. A fresh
+/// grad receives P directly: a product's sums start at +0.0 and so are never
+/// -0.0, which makes 0.0 + p == p bit for bit.
+template <typename Kernel>
+void accumulate_product(Workspace& ws, VarData& v, Kernel&& kernel) {
+  if (!v.requires_grad) return;
+  if (!has_grad(v)) {
+    v.grad = ws.take(v.value.rows(), v.value.cols());
+    kernel(v.grad);
+    return;
+  }
+  Matrix product = ws.take(v.value.rows(), v.value.cols());
+  kernel(product);
+  v.grad.add_in_place(product);
+  ws.give(std::move(product));
+}
+
+}  // namespace
 
 double Var::scalar() const {
   check(rows() == 1 && cols() == 1, "Var::scalar: not 1x1");
   return value().at(0, 0);
+}
+
+Tape::~Tape() {
+  if (&workspace_ == &own_workspace_) return;  // freed with the tape anyway
+  // Newest first: clearing a node's inputs drops its references to older
+  // nodes, so their use counts fall to the tape's own by the time they are
+  // visited. A node still referenced elsewhere keeps its buffers.
+  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+    VarData& node = **it;
+    if (it->use_count() != 1) continue;
+    workspace_.give(std::move(node.value));
+    workspace_.give(std::move(node.grad));
+    workspace_.give(std::move(node.saved));
+    node.inputs.clear();
+  }
 }
 
 Var Tape::leaf(Matrix value, bool requires_grad) {
@@ -17,229 +126,299 @@ Var Tape::leaf(Matrix value, bool requires_grad) {
   return Var(std::move(data));
 }
 
-Var Tape::record(Matrix value, std::vector<Var> inputs,
-                 std::function<void(VarData&)> backward_body) {
+Var Tape::record(Matrix value, std::vector<std::shared_ptr<VarData>> inputs,
+                 std::function<void(Workspace&, VarData&)> backward) {
   auto data = std::make_shared<VarData>();
   data->value = std::move(value);
-  data->requires_grad = false;
-  for (const Var& v : inputs) {
-    check(v.defined(), "record: undefined input");
-    data->inputs.push_back(v.data());
-    data->requires_grad = data->requires_grad || v.data()->requires_grad;
+  for (const auto& input : inputs) {
+    check(input != nullptr, "record: undefined input");
+    data->requires_grad = data->requires_grad || input->requires_grad;
   }
   if (data->requires_grad) {
-    VarData* raw = data.get();
-    data->backward = [raw, body = std::move(backward_body)]() { body(*raw); };
+    data->inputs = std::move(inputs);
+    data->backward = std::move(backward);
     order_.push_back(data);
   }
   return Var(std::move(data));
 }
 
 Var Tape::matmul(const Var& a, const Var& b) {
-  Matrix out = nn::matmul(a.value(), b.value());
-  return record(std::move(out), {a, b}, [a, b](VarData& node) {
-    if (a.data()->requires_grad) {
-      a.data()->ensure_grad().add_in_place(matmul_nt(node.grad, b.value()));
-    }
-    if (b.data()->requires_grad) {
-      b.data()->ensure_grad().add_in_place(matmul_tn(a.value(), node.grad));
-    }
+  Matrix out = workspace_.take(a.rows(), b.cols());
+  nn::matmul_into(a.value(), b.value(), out);
+  return record(std::move(out), {a.data(), b.data()}, [](Workspace& ws, VarData& node) {
+    VarData& x = *node.inputs[0];
+    VarData& y = *node.inputs[1];
+    accumulate_product(ws, x, [&](Matrix& out) { matmul_nt_into(node.grad, y.value, out); });
+    accumulate_product(ws, y, [&](Matrix& out) { matmul_tn_into(x.value, node.grad, out); });
   });
 }
 
 Var Tape::add(const Var& a, const Var& b) {
-  return record(nn::add(a.value(), b.value()), {a, b}, [a, b](VarData& node) {
-    if (a.data()->requires_grad) a.data()->ensure_grad().add_in_place(node.grad);
-    if (b.data()->requires_grad) b.data()->ensure_grad().add_in_place(node.grad);
+  check(a.value().same_shape(b.value()), "add: shape mismatch");
+  const double* x = a.value().data();
+  const double* y = b.value().data();
+  Matrix out = elementwise(workspace_, a.rows(), a.cols(), [&](int64_t i) { return x[i] + y[i]; });
+  return record(std::move(out), {a.data(), b.data()}, [](Workspace& ws, VarData& node) {
+    const double* g = node.grad.data();
+    for (const auto& in : node.inputs) accumulate(ws, *in, [&](int64_t i) { return g[i]; });
   });
 }
 
 Var Tape::subtract(const Var& a, const Var& b) {
-  return record(nn::subtract(a.value(), b.value()), {a, b}, [a, b](VarData& node) {
-    if (a.data()->requires_grad) a.data()->ensure_grad().add_in_place(node.grad);
-    if (b.data()->requires_grad) {
-      b.data()->ensure_grad().add_scaled_in_place(node.grad, -1.0);
-    }
+  check(a.value().same_shape(b.value()), "subtract: shape mismatch");
+  const double* x = a.value().data();
+  const double* y = b.value().data();
+  Matrix out =
+      elementwise(workspace_, a.rows(), a.cols(), [&](int64_t i) { return x[i] + -1.0 * y[i]; });
+  return record(std::move(out), {a.data(), b.data()}, [](Workspace& ws, VarData& node) {
+    const double* g = node.grad.data();
+    accumulate(ws, *node.inputs[0], [&](int64_t i) { return g[i]; });
+    accumulate(ws, *node.inputs[1], [&](int64_t i) { return -1.0 * g[i]; });
   });
 }
 
 Var Tape::add_row_broadcast(const Var& a, const Var& row) {
   check(row.rows() == 1 && row.cols() == a.cols(), "add_row_broadcast: bad row shape");
-  Matrix out = a.value();
-  for (int r = 0; r < out.rows(); ++r) {
-    for (int c = 0; c < out.cols(); ++c) out.at(r, c) += row.value().at(0, c);
+  const int n = a.rows(), d = a.cols();
+  Matrix out = workspace_.take(n, d);
+  const double* bias = row.value().data();
+  for (int r = 0; r < n; ++r) {
+    const double* x = a.value().row(r);
+    double* o = out.row(r);
+    for (int c = 0; c < d; ++c) o[c] = x[c] + bias[c];
   }
-  return record(std::move(out), {a, row}, [a, row](VarData& node) {
-    if (a.data()->requires_grad) a.data()->ensure_grad().add_in_place(node.grad);
-    if (row.data()->requires_grad) {
-      Matrix& g = row.data()->ensure_grad();
-      for (int r = 0; r < node.grad.rows(); ++r) {
-        for (int c = 0; c < node.grad.cols(); ++c) g.at(0, c) += node.grad.at(r, c);
+  return record(std::move(out), {a.data(), row.data()}, [](Workspace& ws, VarData& node) {
+    const Matrix& g = node.grad;
+    accumulate(ws, *node.inputs[0], [&](int64_t i) { return g.data()[i]; });
+    if (node.inputs[1]->requires_grad) {
+      double* rg = zeroed_grad(ws, *node.inputs[1]).data();
+      for (int r = 0; r < g.rows(); ++r) {
+        const double* gr = g.row(r);
+        for (int c = 0; c < g.cols(); ++c) rg[c] += gr[c];
       }
     }
   });
 }
 
 Var Tape::hadamard(const Var& a, const Var& b) {
-  return record(nn::hadamard(a.value(), b.value()), {a, b}, [a, b](VarData& node) {
-    if (a.data()->requires_grad) {
-      a.data()->ensure_grad().add_in_place(nn::hadamard(node.grad, b.value()));
-    }
-    if (b.data()->requires_grad) {
-      b.data()->ensure_grad().add_in_place(nn::hadamard(node.grad, a.value()));
-    }
+  check(a.value().same_shape(b.value()), "hadamard: shape mismatch");
+  const double* x = a.value().data();
+  const double* y = b.value().data();
+  Matrix out = elementwise(workspace_, a.rows(), a.cols(), [&](int64_t i) { return x[i] * y[i]; });
+  return record(std::move(out), {a.data(), b.data()}, [](Workspace& ws, VarData& node) {
+    const double* g = node.grad.data();
+    const double* x = node.inputs[0]->value.data();
+    const double* y = node.inputs[1]->value.data();
+    accumulate(ws, *node.inputs[0], [&](int64_t i) { return g[i] * y[i]; });
+    accumulate(ws, *node.inputs[1], [&](int64_t i) { return g[i] * x[i]; });
   });
 }
 
 Var Tape::scale(const Var& a, double factor) {
-  return record(nn::scale(a.value(), factor), {a}, [a, factor](VarData& node) {
-    if (a.data()->requires_grad) {
-      a.data()->ensure_grad().add_scaled_in_place(node.grad, factor);
-    }
+  const double* x = a.value().data();
+  Matrix out =
+      elementwise(workspace_, a.rows(), a.cols(), [&](int64_t i) { return x[i] * factor; });
+  return record(std::move(out), {a.data()}, [factor](Workspace& ws, VarData& node) {
+    const double* g = node.grad.data();
+    accumulate(ws, *node.inputs[0], [&](int64_t i) { return factor * g[i]; });
   });
 }
 
 Var Tape::mul_col_broadcast(const Var& a, const Var& col) {
   check(col.cols() == 1 && col.rows() == a.rows(), "mul_col_broadcast: bad col shape");
-  Matrix out = a.value();
-  for (int r = 0; r < out.rows(); ++r) {
-    const double w = col.value().at(r, 0);
-    for (int c = 0; c < out.cols(); ++c) out.at(r, c) *= w;
+  const int n = a.rows(), d = a.cols();
+  Matrix out = workspace_.take(n, d);
+  const double* w = col.value().data();
+  for (int r = 0; r < n; ++r) {
+    const double* x = a.value().row(r);
+    double* o = out.row(r);
+    for (int c = 0; c < d; ++c) o[c] = x[c] * w[r];
   }
-  return record(std::move(out), {a, col}, [a, col](VarData& node) {
-    if (a.data()->requires_grad) {
-      Matrix& g = a.data()->ensure_grad();
-      for (int r = 0; r < node.grad.rows(); ++r) {
-        const double w = col.value().at(r, 0);
-        for (int c = 0; c < node.grad.cols(); ++c) g.at(r, c) += node.grad.at(r, c) * w;
+  return record(std::move(out), {a.data(), col.data()}, [](Workspace& ws, VarData& node) {
+    const Matrix& g = node.grad;
+    const VarData& x = *node.inputs[0];
+    const VarData& w = *node.inputs[1];
+    const int d = g.cols();
+    if (x.requires_grad) {
+      const GradSink sink(ws, *node.inputs[0]);
+      for (int r = 0; r < g.rows(); ++r) {
+        const double wr = w.value.data()[r];
+        const double* gr = g.row(r);
+        for (int c = 0; c < d; ++c) sink.add(static_cast<int64_t>(r) * d + c, gr[c] * wr);
       }
     }
-    if (col.data()->requires_grad) {
-      Matrix& g = col.data()->ensure_grad();
-      for (int r = 0; r < node.grad.rows(); ++r) {
+    if (w.requires_grad) {
+      const GradSink sink(ws, *node.inputs[1]);
+      for (int r = 0; r < g.rows(); ++r) {
+        const double* gr = g.row(r);
+        const double* xr = x.value.row(r);
         double dot = 0.0;
-        for (int c = 0; c < node.grad.cols(); ++c) {
-          dot += node.grad.at(r, c) * a.value().at(r, c);
-        }
-        g.at(r, 0) += dot;
+        for (int c = 0; c < d; ++c) dot += gr[c] * xr[c];
+        sink.add(r, dot);
       }
     }
   });
 }
 
 Var Tape::relu(const Var& a) {
-  Matrix out = a.value();
-  for (int64_t i = 0; i < out.size(); ++i) out.data()[i] = std::max(out.data()[i], 0.0);
-  return record(std::move(out), {a}, [a](VarData& node) {
-    if (!a.data()->requires_grad) return;
-    Matrix& g = a.data()->ensure_grad();
-    for (int64_t i = 0; i < g.size(); ++i) {
-      if (a.data()->value.data()[i] > 0.0) g.data()[i] += node.grad.data()[i];
-    }
+  const double* x = a.value().data();
+  Matrix out =
+      elementwise(workspace_, a.rows(), a.cols(), [&](int64_t i) { return std::max(x[i], 0.0); });
+  return record(std::move(out), {a.data()}, [](Workspace& ws, VarData& node) {
+    const double* x = node.inputs[0]->value.data();
+    const double* g = node.grad.data();
+    accumulate(ws, *node.inputs[0], [&](int64_t i) { return x[i] > 0.0 ? g[i] : -0.0; });
   });
 }
 
 Var Tape::leaky_relu(const Var& a, double slope) {
-  Matrix out = a.value();
-  for (int64_t i = 0; i < out.size(); ++i) {
-    if (out.data()[i] < 0.0) out.data()[i] *= slope;
-  }
-  return record(std::move(out), {a}, [a, slope](VarData& node) {
-    if (!a.data()->requires_grad) return;
-    Matrix& g = a.data()->ensure_grad();
-    for (int64_t i = 0; i < g.size(); ++i) {
-      const double factor = a.data()->value.data()[i] > 0.0 ? 1.0 : slope;
-      g.data()[i] += factor * node.grad.data()[i];
-    }
+  const double* x = a.value().data();
+  Matrix out = elementwise(workspace_, a.rows(), a.cols(),
+                           [&](int64_t i) { return x[i] < 0.0 ? x[i] * slope : x[i]; });
+  return record(std::move(out), {a.data()}, [slope](Workspace& ws, VarData& node) {
+    const double* x = node.inputs[0]->value.data();
+    const double* g = node.grad.data();
+    accumulate(ws, *node.inputs[0], [&](int64_t i) {
+      const double factor = x[i] > 0.0 ? 1.0 : slope;
+      return factor * g[i];
+    });
   });
 }
 
 Var Tape::elu(const Var& a) {
-  Matrix out = a.value();
-  for (int64_t i = 0; i < out.size(); ++i) {
-    const double x = out.data()[i];
-    if (x < 0.0) out.data()[i] = std::exp(x) - 1.0;
-  }
-  return record(std::move(out), {a}, [a](VarData& node) {
-    if (!a.data()->requires_grad) return;
-    Matrix& g = a.data()->ensure_grad();
-    for (int64_t i = 0; i < g.size(); ++i) {
-      const double x = a.data()->value.data()[i];
-      const double factor = x > 0.0 ? 1.0 : std::exp(x);
-      g.data()[i] += factor * node.grad.data()[i];
-    }
+  const double* x = a.value().data();
+  Matrix out = elementwise(workspace_, a.rows(), a.cols(),
+                           [&](int64_t i) { return x[i] < 0.0 ? std::exp(x[i]) - 1.0 : x[i]; });
+  return record(std::move(out), {a.data()}, [](Workspace& ws, VarData& node) {
+    const double* x = node.inputs[0]->value.data();
+    const double* g = node.grad.data();
+    accumulate(ws, *node.inputs[0], [&](int64_t i) {
+      const double factor = x[i] > 0.0 ? 1.0 : std::exp(x[i]);
+      return factor * g[i];
+    });
   });
 }
 
 Var Tape::tanh_act(const Var& a) {
-  Matrix out = a.value();
-  for (int64_t i = 0; i < out.size(); ++i) out.data()[i] = std::tanh(out.data()[i]);
-  return record(std::move(out), {a}, [a](VarData& node) {
-    if (!a.data()->requires_grad) return;
-    Matrix& g = a.data()->ensure_grad();
-    for (int64_t i = 0; i < g.size(); ++i) {
-      const double y = node.value.data()[i];
-      g.data()[i] += (1.0 - y * y) * node.grad.data()[i];
-    }
+  const double* x = a.value().data();
+  Matrix out =
+      elementwise(workspace_, a.rows(), a.cols(), [&](int64_t i) { return std::tanh(x[i]); });
+  return record(std::move(out), {a.data()}, [](Workspace& ws, VarData& node) {
+    const double* y = node.value.data();
+    const double* g = node.grad.data();
+    accumulate(ws, *node.inputs[0], [&](int64_t i) { return (1.0 - y[i] * y[i]) * g[i]; });
   });
 }
 
-namespace {
-
-Matrix softmax_rows_value(const Matrix& a) {
-  Matrix out = a;
-  for (int r = 0; r < out.rows(); ++r) {
-    double row_max = -1e300;
-    for (int c = 0; c < out.cols(); ++c) row_max = std::max(row_max, out.at(r, c));
-    double total = 0.0;
-    for (int c = 0; c < out.cols(); ++c) {
-      out.at(r, c) = std::exp(out.at(r, c) - row_max);
-      total += out.at(r, c);
-    }
-    for (int c = 0; c < out.cols(); ++c) out.at(r, c) /= total;
-  }
-  return out;
-}
-
-}  // namespace
-
 Var Tape::softmax_rows(const Var& a) {
-  return record(softmax_rows_value(a.value()), {a}, [a](VarData& node) {
-    if (!a.data()->requires_grad) return;
-    Matrix& g = a.data()->ensure_grad();
+  const int n = a.rows(), d = a.cols();
+  Matrix out = workspace_.take(n, d);
+  for (int r = 0; r < n; ++r) {
+    const double* x = a.value().row(r);
+    double* o = out.row(r);
+    double row_max = -1e300;
+    for (int c = 0; c < d; ++c) row_max = std::max(row_max, x[c]);
+    double total = 0.0;
+    for (int c = 0; c < d; ++c) {
+      o[c] = std::exp(x[c] - row_max);
+      total += o[c];
+    }
+    for (int c = 0; c < d; ++c) o[c] /= total;
+  }
+  return record(std::move(out), {a.data()}, [](Workspace& ws, VarData& node) {
+    VarData& in = *node.inputs[0];
+    if (!in.requires_grad) return;
     const Matrix& p = node.value;
+    const int cols = p.cols();
+    const GradSink sink(ws, in);
     for (int r = 0; r < p.rows(); ++r) {
+      const double* pr = p.row(r);
+      const double* gr = node.grad.row(r);
       double dot = 0.0;
-      for (int c = 0; c < p.cols(); ++c) dot += node.grad.at(r, c) * p.at(r, c);
-      for (int c = 0; c < p.cols(); ++c) {
-        g.at(r, c) += p.at(r, c) * (node.grad.at(r, c) - dot);
+      for (int c = 0; c < cols; ++c) dot += gr[c] * pr[c];
+      for (int c = 0; c < cols; ++c) {
+        sink.add(static_cast<int64_t>(r) * cols + c, pr[c] * (gr[c] - dot));
       }
     }
   });
 }
 
 Var Tape::log_softmax_rows(const Var& a) {
-  Matrix out = a.value();
-  for (int r = 0; r < out.rows(); ++r) {
+  const int n = a.rows(), d = a.cols();
+  Matrix out = workspace_.take(n, d);
+  for (int r = 0; r < n; ++r) {
+    const double* x = a.value().row(r);
+    double* o = out.row(r);
     double row_max = -1e300;
-    for (int c = 0; c < out.cols(); ++c) row_max = std::max(row_max, out.at(r, c));
+    for (int c = 0; c < d; ++c) row_max = std::max(row_max, x[c]);
     double total = 0.0;
-    for (int c = 0; c < out.cols(); ++c) total += std::exp(out.at(r, c) - row_max);
+    for (int c = 0; c < d; ++c) total += std::exp(x[c] - row_max);
     const double log_z = row_max + std::log(total);
-    for (int c = 0; c < out.cols(); ++c) out.at(r, c) -= log_z;
+    for (int c = 0; c < d; ++c) o[c] = x[c] - log_z;
   }
-  return record(std::move(out), {a}, [a](VarData& node) {
-    if (!a.data()->requires_grad) return;
-    Matrix& g = a.data()->ensure_grad();
+  return record(std::move(out), {a.data()}, [](Workspace& ws, VarData& node) {
+    VarData& in = *node.inputs[0];
+    if (!in.requires_grad) return;
+    const int cols = node.value.cols();
+    const GradSink sink(ws, in);
     for (int r = 0; r < node.value.rows(); ++r) {
+      const double* yr = node.value.row(r);
+      const double* gr = node.grad.row(r);
       double grad_sum = 0.0;
-      for (int c = 0; c < node.value.cols(); ++c) grad_sum += node.grad.at(r, c);
-      for (int c = 0; c < node.value.cols(); ++c) {
-        g.at(r, c) += node.grad.at(r, c) - std::exp(node.value.at(r, c)) * grad_sum;
+      for (int c = 0; c < cols; ++c) grad_sum += gr[c];
+      for (int c = 0; c < cols; ++c) {
+        sink.add(static_cast<int64_t>(r) * cols + c, gr[c] - std::exp(yr[c]) * grad_sum);
       }
     }
   });
 }
+
+namespace {
+
+void layer_norm_backward(Workspace& ws, VarData& node) {
+  const int n = node.value.rows(), d = node.value.cols();
+  VarData& in = *node.inputs[0];
+  VarData& gain_node = *node.inputs[1];
+  VarData& bias_node = *node.inputs[2];
+  if (gain_node.requires_grad) {
+    double* gg = zeroed_grad(ws, gain_node).data();
+    for (int r = 0; r < n; ++r) {
+      const double* gr = node.grad.row(r);
+      const double* xhat = node.saved.row(r);
+      for (int c = 0; c < d; ++c) gg[c] += gr[c] * xhat[c];
+    }
+  }
+  if (bias_node.requires_grad) {
+    double* bg = zeroed_grad(ws, bias_node).data();
+    for (int r = 0; r < n; ++r) {
+      const double* gr = node.grad.row(r);
+      for (int c = 0; c < d; ++c) bg[c] += gr[c];
+    }
+  }
+  if (in.requires_grad) {
+    const double* gain = gain_node.value.data();
+    const GradSink sink(ws, in);
+    for (int r = 0; r < n; ++r) {
+      const double* gr = node.grad.row(r);
+      const double* xhat = node.saved.row(r);
+      // dxhat = dy * gain
+      double sum_dxhat = 0.0, sum_dxhat_xhat = 0.0;
+      for (int c = 0; c < d; ++c) {
+        const double dxh = gr[c] * gain[c];
+        sum_dxhat += dxh;
+        sum_dxhat_xhat += dxh * xhat[c];
+      }
+      const double istd = xhat[d];
+      for (int c = 0; c < d; ++c) {
+        const double dxh = gr[c] * gain[c];
+        sink.add(static_cast<int64_t>(r) * d + c,
+                 istd * (dxh - sum_dxhat / d - xhat[c] * sum_dxhat_xhat / d));
+      }
+    }
+  }
+}
+
+}  // namespace
 
 Var Tape::layer_norm_rows(const Var& a, const Var& gain, const Var& bias,
                           double epsilon) {
@@ -247,71 +426,60 @@ Var Tape::layer_norm_rows(const Var& a, const Var& gain, const Var& bias,
   check(gain.rows() == 1 && gain.cols() == d, "layer_norm: bad gain shape");
   check(bias.rows() == 1 && bias.cols() == d, "layer_norm: bad bias shape");
 
-  // Cache normalised activations and inverse stddevs for the backward pass.
-  auto xhat = std::make_shared<Matrix>(n, d);
-  auto inv_std = std::make_shared<std::vector<double>>(static_cast<size_t>(n));
-  Matrix out(n, d);
+  // saved row r: the normalised activations, then the row's inverse stddev.
+  Matrix saved = workspace_.take(n, d + 1);
+  Matrix out = workspace_.take(n, d);
+  const double* gv = gain.value().data();
+  const double* bv = bias.value().data();
   for (int r = 0; r < n; ++r) {
+    const double* x = a.value().row(r);
+    double* xhat = saved.row(r);
+    double* o = out.row(r);
     double mean = 0.0;
-    for (int c = 0; c < d; ++c) mean += a.value().at(r, c);
+    for (int c = 0; c < d; ++c) mean += x[c];
     mean /= d;
     double var = 0.0;
     for (int c = 0; c < d; ++c) {
-      const double diff = a.value().at(r, c) - mean;
+      const double diff = x[c] - mean;
       var += diff * diff;
     }
     var /= d;
     const double istd = 1.0 / std::sqrt(var + epsilon);
-    (*inv_std)[static_cast<size_t>(r)] = istd;
+    xhat[d] = istd;
     for (int c = 0; c < d; ++c) {
-      const double norm = (a.value().at(r, c) - mean) * istd;
-      xhat->at(r, c) = norm;
-      out.at(r, c) = gain.value().at(0, c) * norm + bias.value().at(0, c);
+      const double norm = (x[c] - mean) * istd;
+      xhat[c] = norm;
+      o[c] = gv[c] * norm + bv[c];
     }
   }
 
-  return record(std::move(out), {a, gain, bias},
-                [a, gain, bias, xhat, inv_std](VarData& node) {
-                  const int n2 = node.value.rows(), d2 = node.value.cols();
-                  if (gain.data()->requires_grad) {
-                    Matrix& gg = gain.data()->ensure_grad();
-                    for (int r = 0; r < n2; ++r) {
-                      for (int c = 0; c < d2; ++c) {
-                        gg.at(0, c) += node.grad.at(r, c) * xhat->at(r, c);
-                      }
-                    }
-                  }
-                  if (bias.data()->requires_grad) {
-                    Matrix& bg = bias.data()->ensure_grad();
-                    for (int r = 0; r < n2; ++r) {
-                      for (int c = 0; c < d2; ++c) bg.at(0, c) += node.grad.at(r, c);
-                    }
-                  }
-                  if (a.data()->requires_grad) {
-                    Matrix& ag = a.data()->ensure_grad();
-                    for (int r = 0; r < n2; ++r) {
-                      // dxhat = dy * gain
-                      double sum_dxhat = 0.0, sum_dxhat_xhat = 0.0;
-                      for (int c = 0; c < d2; ++c) {
-                        const double dxh = node.grad.at(r, c) * gain.value().at(0, c);
-                        sum_dxhat += dxh;
-                        sum_dxhat_xhat += dxh * xhat->at(r, c);
-                      }
-                      const double istd = (*inv_std)[static_cast<size_t>(r)];
-                      for (int c = 0; c < d2; ++c) {
-                        const double dxh = node.grad.at(r, c) * gain.value().at(0, c);
-                        ag.at(r, c) += istd * (dxh - sum_dxhat / d2 -
-                                               xhat->at(r, c) * sum_dxhat_xhat / d2);
-                      }
-                    }
-                  }
-                });
+  Var result = record(std::move(out), {a.data(), gain.data(), bias.data()},
+                      layer_norm_backward);
+  if (result.requires_grad()) {
+    result.data()->saved = std::move(saved);
+  } else {
+    workspace_.give(std::move(saved));
+  }
+  return result;
 }
 
 Var Tape::transpose(const Var& a) {
-  return record(a.value().transpose(), {a}, [a](VarData& node) {
-    if (!a.data()->requires_grad) return;
-    a.data()->ensure_grad().add_in_place(node.grad.transpose());
+  const int n = a.rows(), d = a.cols();
+  Matrix out = workspace_.take(d, n);
+  for (int r = 0; r < n; ++r) {
+    const double* x = a.value().row(r);
+    for (int c = 0; c < d; ++c) out.data()[static_cast<size_t>(c) * n + r] = x[c];
+  }
+  return record(std::move(out), {a.data()}, [](Workspace& ws, VarData& node) {
+    VarData& in = *node.inputs[0];
+    if (!in.requires_grad) return;
+    const int rows = in.value.rows(), cols = in.value.cols();
+    const GradSink sink(ws, in);
+    for (int r = 0; r < rows; ++r) {
+      for (int c = 0; c < cols; ++c) {
+        sink.add(static_cast<int64_t>(r) * cols + c, node.grad.row(c)[r]);
+      }
+    }
   });
 }
 
@@ -319,63 +487,71 @@ Var Tape::concat_cols(const std::vector<Var>& parts) {
   check(!parts.empty(), "concat_cols: empty");
   const int n = parts.front().rows();
   int total_cols = 0;
+  std::vector<std::shared_ptr<VarData>> inputs;
+  inputs.reserve(parts.size());
   for (const Var& p : parts) {
     check(p.rows() == n, "concat_cols: row mismatch");
     total_cols += p.cols();
+    inputs.push_back(p.data());
   }
-  Matrix out(n, total_cols);
+  Matrix out = workspace_.take(n, total_cols);
   int offset = 0;
   for (const Var& p : parts) {
     for (int r = 0; r < n; ++r) {
-      for (int c = 0; c < p.cols(); ++c) out.at(r, offset + c) = p.value().at(r, c);
+      std::copy_n(p.value().row(r), p.cols(), out.row(r) + offset);
     }
     offset += p.cols();
   }
-  return record(std::move(out), parts, [parts](VarData& node) {
+  return record(std::move(out), std::move(inputs), [](Workspace& ws, VarData& node) {
     int off = 0;
-    for (const Var& p : parts) {
-      if (p.data()->requires_grad) {
-        Matrix& g = p.data()->ensure_grad();
-        for (int r = 0; r < g.rows(); ++r) {
-          for (int c = 0; c < g.cols(); ++c) g.at(r, c) += node.grad.at(r, off + c);
+    for (const auto& part : node.inputs) {
+      const int cols = part->value.cols();
+      if (part->requires_grad) {
+        const GradSink sink(ws, *part);
+        for (int r = 0; r < part->value.rows(); ++r) {
+          const double* gr = node.grad.row(r) + off;
+          for (int c = 0; c < cols; ++c) sink.add(static_cast<int64_t>(r) * cols + c, gr[c]);
         }
       }
-      off += p.cols();
+      off += cols;
     }
   });
 }
 
 Var Tape::slice_cols(const Var& a, int start, int count) {
   check(start >= 0 && count > 0 && start + count <= a.cols(), "slice_cols: bad range");
-  Matrix out(a.rows(), count);
-  for (int r = 0; r < a.rows(); ++r) {
-    for (int c = 0; c < count; ++c) out.at(r, c) = a.value().at(r, start + c);
-  }
-  return record(std::move(out), {a}, [a, start](VarData& node) {
-    if (!a.data()->requires_grad) return;
-    Matrix& g = a.data()->ensure_grad();
+  Matrix out = workspace_.take(a.rows(), count);
+  for (int r = 0; r < a.rows(); ++r) std::copy_n(a.value().row(r) + start, count, out.row(r));
+  return record(std::move(out), {a.data()}, [start](Workspace& ws, VarData& node) {
+    VarData& in = *node.inputs[0];
+    if (!in.requires_grad) return;
+    Matrix& g = zeroed_grad(ws, in);
     for (int r = 0; r < node.grad.rows(); ++r) {
-      for (int c = 0; c < node.grad.cols(); ++c) g.at(r, start + c) += node.grad.at(r, c);
+      const double* gr = node.grad.row(r);
+      double* dst = g.row(r) + start;
+      for (int c = 0; c < node.grad.cols(); ++c) dst[c] += gr[c];
     }
   });
 }
 
 Var Tape::gather_rows(const Var& a, const std::vector<int>& indices) {
-  Matrix out(static_cast<int>(indices.size()), a.cols());
+  const int d = a.cols();
+  Matrix out = workspace_.take(static_cast<int>(indices.size()), d);
   for (size_t i = 0; i < indices.size(); ++i) {
     const int src = indices[i];
     check(src >= 0 && src < a.rows(), "gather_rows: index out of range");
-    for (int c = 0; c < a.cols(); ++c) {
-      out.at(static_cast<int>(i), c) = a.value().at(src, c);
-    }
+    std::copy_n(a.value().row(src), d, out.row(static_cast<int>(i)));
   }
-  return record(std::move(out), {a}, [a, indices](VarData& node) {
-    if (!a.data()->requires_grad) return;
-    Matrix& g = a.data()->ensure_grad();
-    for (size_t i = 0; i < indices.size(); ++i) {
-      for (int c = 0; c < g.cols(); ++c) {
-        g.at(indices[i], c) += node.grad.at(static_cast<int>(i), c);
-      }
+  const std::span<const int> index(indices);
+  return record(std::move(out), {a.data()}, [index](Workspace& ws, VarData& node) {
+    VarData& in = *node.inputs[0];
+    if (!in.requires_grad) return;
+    Matrix& g = zeroed_grad(ws, in);
+    const int cols = g.cols();
+    for (size_t i = 0; i < index.size(); ++i) {
+      const double* gr = node.grad.row(static_cast<int>(i));
+      double* dst = g.row(index[i]);
+      for (int c = 0; c < cols; ++c) dst[c] += gr[c];
     }
   });
 }
@@ -383,21 +559,25 @@ Var Tape::gather_rows(const Var& a, const std::vector<int>& indices) {
 Var Tape::segment_sum_rows(const Var& a, const std::vector<int>& segments,
                            int segment_count) {
   check(static_cast<int>(segments.size()) == a.rows(), "segment_sum_rows: size mismatch");
-  Matrix out(segment_count, a.cols());
+  const int d = a.cols();
+  Matrix out = workspace_.take(segment_count, d);
+  out.fill(0.0);
   for (size_t e = 0; e < segments.size(); ++e) {
     const int s = segments[e];
     check(s >= 0 && s < segment_count, "segment_sum_rows: bad segment");
-    for (int c = 0; c < a.cols(); ++c) {
-      out.at(s, c) += a.value().at(static_cast<int>(e), c);
-    }
+    const double* x = a.value().row(static_cast<int>(e));
+    double* o = out.row(s);
+    for (int c = 0; c < d; ++c) o[c] += x[c];
   }
-  return record(std::move(out), {a}, [a, segments](VarData& node) {
-    if (!a.data()->requires_grad) return;
-    Matrix& g = a.data()->ensure_grad();
-    for (size_t e = 0; e < segments.size(); ++e) {
-      for (int c = 0; c < g.cols(); ++c) {
-        g.at(static_cast<int>(e), c) += node.grad.at(segments[e], c);
-      }
+  const std::span<const int> seg(segments);
+  return record(std::move(out), {a.data()}, [seg](Workspace& ws, VarData& node) {
+    VarData& in = *node.inputs[0];
+    if (!in.requires_grad) return;
+    const int cols = in.value.cols();
+    const GradSink sink(ws, in);
+    for (size_t e = 0; e < seg.size(); ++e) {
+      const double* gr = node.grad.row(seg[e]);
+      for (int c = 0; c < cols; ++c) sink.add(static_cast<int64_t>(e) * cols + c, gr[c]);
     }
   });
 }
@@ -424,60 +604,70 @@ Var Tape::segment_softmax(const Var& a, const std::vector<int>& segments,
                           int segment_count) {
   check(static_cast<int>(segments.size()) == a.rows(), "segment_softmax: size mismatch");
   const int h = a.cols();
-  Matrix out = a.value();
   // Max per (segment, column) for numerical stability.
-  Matrix seg_max(segment_count, h, -1e300);
+  Matrix seg_max = workspace_.take(segment_count, h);
+  seg_max.fill(-1e300);
   for (size_t e = 0; e < segments.size(); ++e) {
     const int s = segments[e];
     check(s >= 0 && s < segment_count, "segment_softmax: bad segment");
-    for (int c = 0; c < h; ++c) {
-      seg_max.at(s, c) = std::max(seg_max.at(s, c), out.at(static_cast<int>(e), c));
-    }
+    const double* x = a.value().row(static_cast<int>(e));
+    double* m = seg_max.row(s);
+    for (int c = 0; c < h; ++c) m[c] = std::max(m[c], x[c]);
   }
-  Matrix seg_sum(segment_count, h);
+  Matrix seg_sum = workspace_.take(segment_count, h);
+  seg_sum.fill(0.0);
+  Matrix out = workspace_.take(a.rows(), h);
   for (size_t e = 0; e < segments.size(); ++e) {
+    const double* x = a.value().row(static_cast<int>(e));
+    const double* m = seg_max.row(segments[e]);
+    double* sum = seg_sum.row(segments[e]);
+    double* o = out.row(static_cast<int>(e));
     for (int c = 0; c < h; ++c) {
-      double& v = out.at(static_cast<int>(e), c);
-      v = std::exp(v - seg_max.at(segments[e], c));
-      seg_sum.at(segments[e], c) += v;
+      o[c] = std::exp(x[c] - m[c]);
+      sum[c] += o[c];
     }
   }
   for (size_t e = 0; e < segments.size(); ++e) {
-    for (int c = 0; c < h; ++c) {
-      out.at(static_cast<int>(e), c) /= seg_sum.at(segments[e], c);
-    }
+    const double* sum = seg_sum.row(segments[e]);
+    double* o = out.row(static_cast<int>(e));
+    for (int c = 0; c < h; ++c) o[c] /= sum[c];
   }
-  return record(std::move(out), {a}, [a, segments, segment_count](VarData& node) {
-    if (!a.data()->requires_grad) return;
+  workspace_.give(std::move(seg_max));
+  workspace_.give(std::move(seg_sum));
+  const std::span<const int> seg(segments);
+  return record(std::move(out), {a.data()}, [seg, segment_count](Workspace& ws, VarData& node) {
+    VarData& in = *node.inputs[0];
+    if (!in.requires_grad) return;
     const Matrix& p = node.value;
     const int cols = p.cols();
     // dot[s, c] = sum over e in s of grad * p
-    Matrix dot(segment_count, cols);
-    for (size_t e = 0; e < segments.size(); ++e) {
+    Matrix dot = ws.take(segment_count, cols);
+    dot.fill(0.0);
+    for (size_t e = 0; e < seg.size(); ++e) {
+      const double* gr = node.grad.row(static_cast<int>(e));
+      const double* pr = p.row(static_cast<int>(e));
+      double* dr = dot.row(seg[e]);
+      for (int c = 0; c < cols; ++c) dr[c] += gr[c] * pr[c];
+    }
+    const GradSink sink(ws, in);
+    for (size_t e = 0; e < seg.size(); ++e) {
+      const double* gr = node.grad.row(static_cast<int>(e));
+      const double* pr = p.row(static_cast<int>(e));
+      const double* dr = dot.row(seg[e]);
       for (int c = 0; c < cols; ++c) {
-        dot.at(segments[e], c) += node.grad.at(static_cast<int>(e), c) *
-                                  p.at(static_cast<int>(e), c);
+        sink.add(static_cast<int64_t>(e) * cols + c, pr[c] * (gr[c] - dr[c]));
       }
     }
-    Matrix& g = a.data()->ensure_grad();
-    for (size_t e = 0; e < segments.size(); ++e) {
-      for (int c = 0; c < cols; ++c) {
-        g.at(static_cast<int>(e), c) +=
-            p.at(static_cast<int>(e), c) *
-            (node.grad.at(static_cast<int>(e), c) - dot.at(segments[e], c));
-      }
-    }
+    ws.give(std::move(dot));
   });
 }
 
 Var Tape::sum_all(const Var& a) {
-  Matrix out(1, 1);
-  out.at(0, 0) = a.value().sum();
-  return record(std::move(out), {a}, [a](VarData& node) {
-    if (!a.data()->requires_grad) return;
-    Matrix& g = a.data()->ensure_grad();
-    const double d = node.grad.at(0, 0);
-    for (int64_t i = 0; i < g.size(); ++i) g.data()[i] += d;
+  Matrix out = workspace_.take(1, 1);
+  out.data()[0] = a.value().sum();
+  return record(std::move(out), {a.data()}, [](Workspace& ws, VarData& node) {
+    const double d = node.grad.data()[0];
+    accumulate(ws, *node.inputs[0], [d](int64_t) { return d; });
   });
 }
 
@@ -488,17 +678,19 @@ Var Tape::mean_all(const Var& a) {
 
 Var Tape::pick_per_row(const Var& a, const std::vector<int>& columns) {
   check(static_cast<int>(columns.size()) == a.rows(), "pick_per_row: size mismatch");
-  Matrix out(a.rows(), 1);
+  Matrix out = workspace_.take(a.rows(), 1);
   for (int r = 0; r < a.rows(); ++r) {
     const int c = columns[static_cast<size_t>(r)];
     check(c >= 0 && c < a.cols(), "pick_per_row: column out of range");
-    out.at(r, 0) = a.value().at(r, c);
+    out.data()[r] = a.value().row(r)[c];
   }
-  return record(std::move(out), {a}, [a, columns](VarData& node) {
-    if (!a.data()->requires_grad) return;
-    Matrix& g = a.data()->ensure_grad();
+  const std::span<const int> picked(columns);
+  return record(std::move(out), {a.data()}, [picked](Workspace& ws, VarData& node) {
+    VarData& in = *node.inputs[0];
+    if (!in.requires_grad) return;
+    Matrix& g = zeroed_grad(ws, in);
     for (int r = 0; r < g.rows(); ++r) {
-      g.at(r, columns[static_cast<size_t>(r)]) += node.grad.at(r, 0);
+      g.row(r)[picked[static_cast<size_t>(r)]] += node.grad.data()[r];
     }
   });
 }
@@ -506,13 +698,13 @@ Var Tape::pick_per_row(const Var& a, const std::vector<int>& columns) {
 void Tape::backward(const Var& loss) {
   check(loss.defined(), "backward: undefined loss");
   check(loss.rows() == 1 && loss.cols() == 1, "backward: loss must be 1x1");
-  loss.data()->ensure_grad().at(0, 0) = 1.0;
+  zeroed_grad(workspace_, *loss.data()).data()[0] = 1.0;
   for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
     VarData& node = **it;
-    if (node.backward && node.grad.rows() == node.value.rows() &&
-        node.grad.cols() == node.value.cols()) {
-      node.backward();
-    }
+    if (node.backward && has_grad(node)) node.backward(workspace_, node);
+    // Every consumer of this node was recorded after it and has run, so its
+    // grad is spent: recycle it for the older nodes' grads.
+    workspace_.give(std::move(node.grad));
   }
 }
 

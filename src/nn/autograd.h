@@ -12,21 +12,52 @@
 
 #include <functional>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "nn/matrix.h"
 
 namespace heterog::nn {
 
-class Tape;
+/// Matrix storage recycled across tapes. A Tape built on a Workspace draws
+/// every op output, gradient and backward temporary from it and hands the
+/// buffers back when the tape is destroyed, so a loop of same-shaped updates
+/// (one RL search) allocates only on its first update and holds one update's
+/// working set in between. Not thread-safe: one Workspace per rl::Trainer,
+/// never shared between concurrent searches.
+class Workspace {
+ public:
+  Workspace() = default;
+  Workspace(const Workspace&) = delete;
+  Workspace& operator=(const Workspace&) = delete;
+
+  /// A rows x cols matrix with unspecified contents: a held buffer of the
+  /// same element count when there is one, else a fresh allocation.
+  Matrix take(int rows, int cols);
+  /// Holds `m`'s storage for a later take() of the same element count.
+  void give(Matrix m);
+  /// Buffers currently held for reuse.
+  size_t held() const;
+  /// Frees every held buffer.
+  void clear() { free_.clear(); }
+
+ private:
+  std::unordered_map<int64_t, std::vector<Matrix>> free_;  // by element count
+};
 
 struct VarData {
   Matrix value;
-  Matrix grad;  // lazily allocated, same shape as value
+  /// Allocated by the first gradient contribution (or ensure_grad()), same
+  /// shape as value.
+  Matrix grad;
+  /// Values an op's backward pass reads besides its inputs (layer norm's
+  /// normalised input and inverse stddevs).
+  Matrix saved;
   bool requires_grad = false;
 
-  /// Propagates this node's grad into its inputs' grads. Null for leaves.
-  std::function<void()> backward;
+  /// Propagates this node's grad into its inputs' grads, drawing temporaries
+  /// from the workspace. Null for leaves.
+  std::function<void(Workspace&, VarData&)> backward;
 
   /// Keeps input nodes alive and reachable for the reverse sweep.
   std::vector<std::shared_ptr<VarData>> inputs;
@@ -61,8 +92,20 @@ class Var {
   std::shared_ptr<VarData> data_;
 };
 
+/// Records ops for one backward sweep. Single-threaded: one tape is built
+/// and swept by one thread.
 class Tape {
  public:
+  /// A tape with a workspace of its own, freed with the tape.
+  Tape() : workspace_(own_workspace_) {}
+  /// A tape on a caller-owned workspace that must outlive it. On
+  /// destruction the tape returns the buffers of every node no Var outside
+  /// the tape still references.
+  explicit Tape(Workspace& workspace) : workspace_(workspace) {}
+  Tape(const Tape&) = delete;
+  Tape& operator=(const Tape&) = delete;
+  ~Tape();
+
   /// Creates a leaf. Parameters pass requires_grad = true.
   Var leaf(Matrix value, bool requires_grad = false);
 
@@ -95,6 +138,9 @@ class Tape {
   Var slice_cols(const Var& a, int start, int count);
 
   // --- graph / segment ops ------------------------------------------------
+  // Index and segment lists are referenced, not copied: their elements must
+  // stay alive and unchanged until backward() returns.
+
   /// out[i] = a[indices[i]].
   Var gather_rows(const Var& a, const std::vector<int>& indices);
   /// out[s] = sum over rows e with segments[e] == s. segments values in
@@ -112,19 +158,24 @@ class Tape {
   // --- reductions / selections ---------------------------------------------
   Var sum_all(const Var& a);   // 1x1
   Var mean_all(const Var& a);  // 1x1
-  /// out[i] = a[i, columns[i]] as an [n x 1] matrix.
+  /// out[i] = a[i, columns[i]] as an [n x 1] matrix; `columns` is
+  /// referenced like the index lists above.
   Var pick_per_row(const Var& a, const std::vector<int>& columns);
 
-  /// Back-propagates from a 1x1 loss through every recorded op.
+  /// Back-propagates from a 1x1 loss through every recorded op. Leaves
+  /// (parameters) accumulate their grads; a recorded op's grad goes back to
+  /// the workspace once it has been propagated to its inputs.
   void backward(const Var& loss);
 
   /// Number of recorded non-leaf ops (diagnostics).
   size_t op_count() const { return order_.size(); }
 
  private:
-  Var record(Matrix value, std::vector<Var> inputs,
-             std::function<void(VarData&)> backward_body);
+  Var record(Matrix value, std::vector<std::shared_ptr<VarData>> inputs,
+             std::function<void(Workspace&, VarData&)> backward);
 
+  Workspace own_workspace_;
+  Workspace& workspace_;
   std::vector<std::shared_ptr<VarData>> order_;
 };
 

@@ -43,7 +43,8 @@ void AdamOptimizer::step() {
     double sq = 0.0;
     for (const Var& p : params_->all()) {
       const Matrix& g = p.data()->ensure_grad();
-      for (int64_t i = 0; i < g.size(); ++i) sq += g.data()[i] * g.data()[i];
+      const double* gd = g.data();
+      for (int64_t i = 0; i < g.size(); ++i) sq += gd[i] * gd[i];
     }
     const double norm = std::sqrt(sq);
     if (norm > options_.clip_global_norm) {
@@ -51,23 +52,25 @@ void AdamOptimizer::step() {
     }
   }
 
-  const double bias1 = 1.0 - std::pow(options_.beta1, static_cast<double>(step_count_));
-  const double bias2 = 1.0 - std::pow(options_.beta2, static_cast<double>(step_count_));
+  const double beta1 = options_.beta1, beta2 = options_.beta2;
+  const double learning_rate = options_.learning_rate, epsilon = options_.epsilon;
+  const double bias1 = 1.0 - std::pow(beta1, static_cast<double>(step_count_));
+  const double bias2 = 1.0 - std::pow(beta2, static_cast<double>(step_count_));
 
   for (size_t i = 0; i < params_->all().size(); ++i) {
-    const Var& p = params_->all()[i];
-    Matrix& value = p.data()->value;
-    Matrix& grad = p.data()->ensure_grad();
-    Matrix& m = m_[i];
-    Matrix& v = v_[i];
-    for (int64_t k = 0; k < value.size(); ++k) {
-      const double g = grad.data()[k] * scale_factor;
-      m.data()[k] = options_.beta1 * m.data()[k] + (1.0 - options_.beta1) * g;
-      v.data()[k] = options_.beta2 * v.data()[k] + (1.0 - options_.beta2) * g * g;
-      const double m_hat = m.data()[k] / bias1;
-      const double v_hat = v.data()[k] / bias2;
-      value.data()[k] -=
-          options_.learning_rate * m_hat / (std::sqrt(v_hat) + options_.epsilon);
+    VarData& p = *params_->all()[i].data();
+    Matrix& grad = p.ensure_grad();
+    double* value = p.value.data();
+    const double* g_in = grad.data();
+    double* m = m_[i].data();
+    double* v = v_[i].data();
+    for (int64_t k = 0; k < p.value.size(); ++k) {
+      const double g = g_in[k] * scale_factor;
+      m[k] = beta1 * m[k] + (1.0 - beta1) * g;
+      v[k] = beta2 * v[k] + (1.0 - beta2) * g * g;
+      const double m_hat = m[k] / bias1;
+      const double v_hat = v[k] / bias2;
+      value[k] -= learning_rate * m_hat / (std::sqrt(v_hat) + epsilon);
     }
     grad.fill(0.0);
   }

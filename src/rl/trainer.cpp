@@ -350,7 +350,7 @@ EpisodeStats Trainer::reinforce_step(agent::PolicyNetwork& policy,
                                      const agent::EncodedGraph& encoded,
                                      MovingAverage& baseline, Rng& rng,
                                      SearchResult* result) {
-  nn::Tape tape;
+  nn::Tape tape(workspace_);
   const auto forward = policy.forward(tape, encoded);
   const nn::Matrix& logits_value = forward.logits.value();
 
@@ -557,6 +557,8 @@ SearchResult Trainer::search(agent::PolicyNetwork& policy,
       break;
     }
   }
+  // The update buffers served the episodes; the polish below only evaluates.
+  workspace_.clear();
 
   // Final polish: greedy single-group moves on the incumbent. Each move
   // re-assigns one group to a random alternative action and keeps the change
@@ -661,7 +663,7 @@ double Trainer::pretrain_round(agent::PolicyNetwork& policy,
   double total_reward = 0.0;
   int samples = 0;
   for (const auto* encoded : graphs) {
-    nn::Tape tape;
+    nn::Tape tape(workspace_);
     const auto forward = policy.forward(tape, *encoded);
     const nn::Var log_probs = tape.log_softmax_rows(forward.logits);
     const nn::Var probs = tape.softmax_rows(forward.logits);

@@ -178,6 +178,10 @@ class Trainer {
   mutable std::unique_ptr<EvalEngine> engine_;
   std::unique_ptr<nn::AdamOptimizer> optimizer_;  // bound to the first policy used
   agent::PolicyNetwork* bound_policy_ = nullptr;
+  /// Matrix buffers of one policy update, reused by every later update of
+  /// this Trainer. Per Trainer, never shared: concurrent searches each own
+  /// a Trainer.
+  nn::Workspace workspace_;
   MovingAverage pretrain_baseline_;
 };
 

@@ -342,11 +342,11 @@ TEST(PlanStoreLock, StaleLockFromDeadPidIsTakenOver) {
 }
 
 TEST(PlanStoreLock, SimultaneousStaleTakeoverAdmitsExactlyOneWriter) {
-  // Regression for the takeover TOCTOU: with remove()-based takeover, two
-  // claimants could both observe the dead pid and the slower one would unlink
-  // the lock the faster one had just re-created — two live writers. The
-  // rename-claim protocol must admit exactly one writer; every other claimant
-  // gets the typed kLocked error while the winner is alive.
+  // Regression for the takeover TOCTOU of the former pid-file protocol, where
+  // two claimants could both observe the dead pid and both become writers.
+  // Simultaneous openers of a lock file left by a dead writer must admit
+  // exactly one writer (the flock holder); every other claimant gets the
+  // typed kLocked error while the winner is alive.
   TempDir dir("race");
 
   const pid_t dead = fork();
