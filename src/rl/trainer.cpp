@@ -35,7 +35,6 @@ Trainer::Trainer(const profiler::CostProvider& costs, TrainConfig config)
   engine_options.cache_capacity = config_.eval_cache_capacity;
   engine_options.plan_store = config_.plan_store;
   engine_options.store_context = config_.plan_store_context;
-  engine_options.use_scratch = config_.eval_scratch;
   engine_ = std::make_unique<EvalEngine>(costs, engine_options);
 }
 
@@ -59,7 +58,6 @@ Evaluation Trainer::evaluate(const graph::GraphDef& graph,
                              const strategy::StrategyMap& strategy) const {
   sim::PlanEvalOptions options;
   options.compiler = config_.compiler;
-  options.sim_impl = config_.sim_impl;
   options.skip_unroll_on_oom = config_.skip_unroll_on_oom;
   return to_evaluation(engine_->evaluate(graph, grouping, strategy, options));
 }
@@ -69,7 +67,6 @@ std::vector<Evaluation> Trainer::evaluate_batch(
     const std::vector<strategy::StrategyMap>& strategies) const {
   sim::PlanEvalOptions options;
   options.compiler = config_.compiler;
-  options.sim_impl = config_.sim_impl;
   options.skip_unroll_on_oom = config_.skip_unroll_on_oom;
   const auto plans = engine_->evaluate_batch(graph, grouping, strategies, options);
   std::vector<Evaluation> evals;
@@ -256,7 +253,6 @@ std::pair<strategy::StrategyMap, Evaluation> Trainer::repair_oom(
   Evaluation eval;
   sim::PlanEvalOptions repair_opts;
   repair_opts.compiler = config_.compiler;
-  repair_opts.sim_impl = config_.sim_impl;
   repair_opts.unroll_iterations = 1;  // memory is what matters here
   // Repair against a slightly tighter memory bound than the real check so
   // the final plan carries slack instead of sitting on the knife edge.

@@ -54,10 +54,6 @@ struct TrainConfig {
   /// Memoized evaluations kept in the engine's LRU cache (0 disables);
   /// re-sampled strategies skip compile+simulate entirely.
   size_t eval_cache_capacity = 4096;
-  /// Simulator implementation used by every evaluation. The two are
-  /// bit-identical (tests/sim_diff_test.cpp walls it); kReference exists for
-  /// differential testing and as the perf baseline in bench_eval_engine.
-  sim::SimImpl sim_impl = sim::SimImpl::kDataOriented;
   /// Skip the steady-state unroll for OOM strategies, reporting the cold
   /// makespan instead (sim::PlanEvalOptions::skip_unroll_on_oom). Changes
   /// time_ms/reward for infeasible strategies, so the RL search leaves it
@@ -65,10 +61,6 @@ struct TrainConfig {
   /// feasible winner's time — turns it on to halve the cost of rejected
   /// candidates on large clusters.
   bool skip_unroll_on_oom = false;
-  /// Reuse the engine's cross-evaluation unroll scratch. Off reproduces the
-  /// scratch-free engine for perf baselines; results are identical either
-  /// way (the scratch is pure memoization, not part of any cache key).
-  bool eval_scratch = true;
   /// Durable cross-run evaluation cache (non-owning; must outlive the
   /// Trainer). Null disables the tier. When set, plan_store_context MUST
   /// carry the cluster/cost-model identity hash (heterog::make_plan derives

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "common/check.h"
-#include "sim/sim_core.h"
 
 namespace heterog::sim {
 
@@ -12,17 +12,6 @@ namespace {
 
 using compile::DistNodeId;
 using compile::NodeKind;
-
-/// The priorities Simulator::run would compute for `graph` under
-/// `options.policy`. Fault scaling changes durations, so rank priorities are
-/// recomputed per scaled variant — exactly what a from-scratch run does.
-std::vector<double> policy_priorities(const compile::DistGraph& graph,
-                                      const SimOptions& options) {
-  if (options.policy == sched::OrderPolicy::kRankPriority) {
-    return sched::rank_priorities(graph);
-  }
-  return std::vector<double>(static_cast<size_t>(graph.node_count()), 0.0);
-}
 
 /// Smallest link bandwidth factor across all participant host pairs — a
 /// ring/collective runs at the speed of its most degraded segment.
@@ -39,14 +28,38 @@ double collective_link_factor(const cluster::ClusterSpec& cluster,
   return factor;
 }
 
+/// One fault-scaled run of `graph`. Fault scaling only ever changes node
+/// durations, and rank priorities are a pure function of the graph, so a
+/// scaling that changes no duration of this plan (e.g. a straggler on a
+/// device the plan never uses) yields exactly the unscaled run: that case is
+/// answered from `unscaled`, simulated once on first need. Every other
+/// scaling is simulated from scratch.
+SimResult simulate_under(const compile::DistGraph& graph,
+                         const cluster::ClusterSpec& cluster,
+                         const faults::FaultScaling& scaling, const SimOptions& options,
+                         std::optional<SimResult>& unscaled) {
+  const Simulator simulator(options);
+  if (scaling.any()) {
+    bool changed = false;
+    const compile::DistGraph scaled =
+        apply_fault_scaling(graph, cluster, scaling, &changed);
+    if (changed) return simulator.run(scaled);
+  }
+  if (!unscaled) unscaled = simulator.run(graph);
+  return *unscaled;
+}
+
 }  // namespace
 
 compile::DistGraph apply_fault_scaling(const compile::DistGraph& graph,
                                        const cluster::ClusterSpec& cluster,
-                                       const faults::FaultScaling& scaling) {
+                                       const faults::FaultScaling& scaling,
+                                       bool* changed) {
   compile::DistGraph scaled = graph;
+  bool any_changed = false;
   for (DistNodeId id = 0; id < scaled.node_count(); ++id) {
     auto& node = scaled.mutable_node(id);
+    const double before = node.duration_ms;
     switch (node.kind) {
       case NodeKind::kCompute:
         if (node.device >= 0 &&
@@ -66,7 +79,9 @@ compile::DistGraph apply_fault_scaling(const compile::DistGraph& graph,
         break;
       }
     }
+    if (node.duration_ms != before) any_changed = true;
   }
+  if (changed != nullptr) *changed = any_changed;
   return scaled;
 }
 
@@ -101,11 +116,10 @@ FaultAwareRun simulate_with_faults(const compile::DistGraph& graph,
   // need timing, so skip the tracker in the inner loop.
   SimOptions step_options = options;
   step_options.track_memory = false;
-  const Simulator simulator(step_options);
 
   FaultAwareRun run;
   std::map<std::string, double> memo;
-  SimBaseline baseline;  // unscaled-graph log; recorded on first simulated step
+  std::optional<SimResult> unscaled;
   for (int step = 0; step < steps; ++step) {
     const faults::FaultScaling scaling = faults::scaling_at(plan, cluster, step);
 
@@ -130,28 +144,8 @@ FaultAwareRun simulate_with_faults(const compile::DistGraph& graph,
     const std::string key = scaling.signature();
     auto it = memo.find(key);
     if (it == memo.end()) {
-      double makespan_ms;
-      if (step_options.impl == SimImpl::kReference) {
-        const compile::DistGraph scaled =
-            scaling.any() ? apply_fault_scaling(graph, cluster, scaling) : graph;
-        makespan_ms = simulator.run(scaled).makespan_ms;
-      } else {
-        // Incremental mode: record the unscaled baseline once, then diff each
-        // fault-scaled variant against it (bit-identical to a full run).
-        if (!baseline.valid) {
-          simulator.run_baseline(graph, policy_priorities(graph, step_options),
-                                 baseline);
-        }
-        if (scaling.any()) {
-          const compile::DistGraph scaled = apply_fault_scaling(graph, cluster, scaling);
-          makespan_ms =
-              simulator.resimulate(scaled, policy_priorities(scaled, step_options),
-                                   baseline)
-                  .makespan_ms;
-        } else {
-          makespan_ms = baseline.result.makespan_ms;
-        }
-      }
+      const double makespan_ms =
+          simulate_under(graph, cluster, scaling, step_options, unscaled).makespan_ms;
       it = memo.emplace(key, makespan_ms).first;
     }
     outcome.makespan_ms = it->second;
@@ -172,32 +166,13 @@ FaultInjector::FaultInjector(compile::DistGraph graph, cluster::ClusterSpec clus
   plan_.validate(cluster_);
 }
 
-FaultInjector::~FaultInjector() = default;
-
-SimResult FaultInjector::simulate_scaled(const faults::FaultScaling& scaling) {
-  const Simulator simulator(options_);
-  if (options_.impl == SimImpl::kReference) {
-    const compile::DistGraph scaled =
-        scaling.any() ? apply_fault_scaling(graph_, cluster_, scaling) : graph_;
-    return simulator.run(scaled);
-  }
-  // Incremental mode: one baseline of the unscaled active graph, diffed
-  // against by every fault-scaled variant (bit-identical to a full run).
-  if (baseline_ == nullptr || !baseline_->valid) {
-    if (baseline_ == nullptr) baseline_ = std::make_unique<SimBaseline>();
-    simulator.run_baseline(graph_, policy_priorities(graph_, options_), *baseline_);
-  }
-  if (!scaling.any()) return baseline_->result;
-  const compile::DistGraph scaled = apply_fault_scaling(graph_, cluster_, scaling);
-  return simulator.resimulate(scaled, policy_priorities(scaled, options_), *baseline_);
-}
-
 const FaultInjector::StepMeasurement& FaultInjector::measure(
     const faults::FaultScaling& scaling) {
   const std::string key = scaling.signature();
   auto it = memo_.find(key);
   if (it == memo_.end()) {
-    const SimResult result = simulate_scaled(scaling);
+    const SimResult result =
+        simulate_under(graph_, cluster_, scaling, options_, unscaled_);
     StepMeasurement m;
     m.makespan_ms = result.makespan_ms;
     m.device_busy_ms.assign(static_cast<size_t>(cluster_.device_count()), 0.0);
@@ -277,7 +252,7 @@ void FaultInjector::apply_replan(compile::DistGraph graph,
   // longer exists in the re-planned cluster.
   plan_ = faults::remap_plan(plan_, new_id_of, cluster_);
   memo_.clear();
-  baseline_.reset();  // the log describes the replaced graph
+  unscaled_.reset();  // the cached run describes the replaced graph
   plan_.validate(cluster_);
 }
 

@@ -8,7 +8,7 @@
 #pragma once
 
 #include <map>
-#include <memory>
+#include <optional>
 
 #include "compile/dist_graph.h"
 #include "faults/faults.h"
@@ -32,10 +32,14 @@ struct FaultAwareRun {
 
 /// Copy of `graph` with durations scaled by the active fault set: compute
 /// nodes by their device's slowdown, transfer/collective nodes by the
-/// inverse of the degraded link bandwidth factor on their path.
+/// inverse of the degraded link bandwidth factor on their path. When
+/// `changed` is non-null it is set to whether any node's duration changed —
+/// false means the copy simulates exactly like `graph` (scaling never
+/// touches structure), the shortcut the fault runners take.
 compile::DistGraph apply_fault_scaling(const compile::DistGraph& graph,
                                        const cluster::ClusterSpec& cluster,
-                                       const faults::FaultScaling& scaling);
+                                       const faults::FaultScaling& scaling,
+                                       bool* changed = nullptr);
 
 /// Whether any node of the compiled plan executes on / communicates through
 /// `device`.
@@ -44,7 +48,8 @@ bool plan_uses_device(const compile::DistGraph& graph, cluster::DeviceId device)
 /// Steps the plan through `steps` iterations of `plan`. Stops at the first
 /// step whose active fault set fails a device the plan uses (re-planning is
 /// the runner's job, not the simulator's). Identical fault sets are
-/// simulated once and memoised.
+/// simulated once and memoised; a fault set that changes no duration of the
+/// plan is answered by the one unscaled run.
 FaultAwareRun simulate_with_faults(const compile::DistGraph& graph,
                                    const cluster::ClusterSpec& cluster,
                                    const faults::FaultPlan& plan, int steps,
@@ -69,7 +74,6 @@ class FaultInjector {
 
   FaultInjector(compile::DistGraph graph, cluster::ClusterSpec cluster,
                 faults::FaultPlan plan, SimOptions options);
-  ~FaultInjector();  // out of line: SimBaseline is incomplete here
 
   /// One attempt of `step` (attempt 0 = first try). Outcome precedence:
   /// a failed device the plan uses times the attempt out (no error
@@ -97,18 +101,12 @@ class FaultInjector {
   int device_count() const { return cluster_.device_count(); }
 
  private:
-  /// Simulates the active graph under `scaling`. Data-oriented mode records
-  /// a baseline of the unscaled graph on first use and re-simulates every
-  /// fault-scaled variant incrementally against it; SimImpl::kReference runs
-  /// each variant from scratch. Results are bit-identical either way.
-  SimResult simulate_scaled(const faults::FaultScaling& scaling);
-
   compile::DistGraph graph_;
   cluster::ClusterSpec cluster_;
   faults::FaultPlan plan_;
   SimOptions options_;
   std::map<std::string, StepMeasurement> memo_;  // keyed by scaling signature
-  std::unique_ptr<SimBaseline> baseline_;        // unscaled-graph execution log
+  std::optional<SimResult> unscaled_;  // the active graph's unscaled run
 };
 
 }  // namespace heterog::sim

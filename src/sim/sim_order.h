@@ -1,6 +1,6 @@
-// The simulator's scheduling orders, shared by the reference and
-// data-oriented implementations so both pop ready nodes and drain events in
-// exactly the same sequence.
+// The simulator's scheduling orders, shared by the core (sim_core.cpp) and
+// the reference test oracle (tests/sim_oracle.cpp) so both pop ready nodes
+// and drain events in exactly the same sequence.
 //
 // Every comparator below is a *strict total order*: ties on the primary key
 // (priority, time) are broken by a unique secondary key (arrival sequence,

@@ -11,11 +11,11 @@
 //   * per-iteration makespan plus computation / communication busy times for
 //     the Fig. 8 breakdown.
 //
-// Two implementations produce bit-identical results (SimOptions::impl):
-// the data-oriented core (sim_core.h — flat SoA state, pooled per-thread
-// workspace, incremental re-simulation) and the reference per-node
-// priority_queue path kept as the differential oracle. The differential wall
-// is tests/sim_diff_test.cpp.
+// Every run executes on one implementation, the data-oriented core
+// (sim_core.h — flat SoA state, pooled per-thread workspace). The original
+// per-node priority_queue simulator survives only as the test oracle
+// (tests/sim_oracle.h); tests/sim_diff_test.cpp and the property wall pin the
+// core to it bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +26,6 @@
 #include "sim/sim_types.h"
 
 namespace heterog::sim {
-
-struct SimBaseline;  // sim_core.h
 
 /// Thread-safety: run()/run_with_priorities() are pure functions of
 /// (options_, graph) — working state lives on the call stack or in a
@@ -43,21 +41,6 @@ class Simulator {
   SimResult run(const compile::DistGraph& graph) const;
   SimResult run_with_priorities(const compile::DistGraph& graph,
                                 const std::vector<double>& priorities) const;
-
-  /// Like run_with_priorities, but records an execution log into `baseline`
-  /// so later deltas of the same graph can be re-simulated incrementally.
-  /// Always uses the data-oriented core (the log is its format).
-  SimResult run_baseline(const compile::DistGraph& graph,
-                         const std::vector<double>& priorities,
-                         SimBaseline& baseline) const;
-
-  /// Incremental re-simulation of a delta of `baseline`'s graph (scaled
-  /// durations, flipped priorities, a re-compiled strategy...). Bit-identical
-  /// to run_with_priorities on `graph`; reuses the unaffected schedule
-  /// prefix when the delta leaves one, falls back to a full run otherwise.
-  SimResult resimulate(const compile::DistGraph& graph,
-                       const std::vector<double>& priorities,
-                       const SimBaseline& baseline) const;
 
  private:
   SimOptions options_;

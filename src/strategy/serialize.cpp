@@ -161,10 +161,6 @@ StrategyMap parse_plan(const std::string& text, const cluster::ClusterSpec& clus
   return parse_any(text, cluster.device_count(), &cluster);
 }
 
-bool save_plan(const std::string& path, const StrategyMap& map, int device_count) {
-  return write_file_atomic(path, to_text(map, device_count));
-}
-
 bool save_plan(const std::string& path, const StrategyMap& map,
                const cluster::ClusterSpec& cluster) {
   return write_file_atomic(path, to_text(map, cluster));

@@ -55,11 +55,9 @@ std::optional<StrategyMap> from_text(const std::string& text, int device_count);
 /// reason, and additionally verifies a v2 fingerprint against `cluster`.
 StrategyMap parse_plan(const std::string& text, const cluster::ClusterSpec& cluster);
 
-/// File helpers. Saves are atomic (write-temp/flush/rename in the target
-/// directory): on failure they return false and leave any prior plan at
-/// `path` intact. The device_count overload writes v1, the cluster overload
-/// writes v2.
-bool save_plan(const std::string& path, const StrategyMap& map, int device_count);
+/// File helpers. Saves write v2 and are atomic (write-temp/flush/rename in
+/// the target directory): on failure they return false and leave any prior
+/// plan at `path` intact.
 bool save_plan(const std::string& path, const StrategyMap& map,
                const cluster::ClusterSpec& cluster);
 

@@ -159,6 +159,12 @@ TEST(Chaos, GeneratorIsDeterministicAndShapeBounded) {
           EXPECT_GE(e.failed_attempts, 1);
           EXPECT_LE(e.failed_attempts, opts.max_failed_attempts);
           break;
+        case faults::FaultKind::kRackFailure:
+        case faults::FaultKind::kSwitchOutage:
+        case faults::FaultKind::kSwitchDegradation:
+          ADD_FAILURE() << "flat schedule emitted a topology fault: "
+                        << faults::fault_plan_to_json(plan);
+          break;
       }
     }
     EXPECT_LE(failures, opts.max_failures);

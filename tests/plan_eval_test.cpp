@@ -212,10 +212,11 @@ TEST(Serialize, V2RoundTripAndChecksum) {
 }
 
 TEST(Serialize, FileHelpers) {
+  const auto cluster = cluster::make_paper_testbed_8gpu();
   strategy::StrategyMap map;
   map.group_actions.push_back(Action::dp(ReplicationMode::kProportional, CommMethod::kPS));
   const std::string path = ::testing::TempDir() + "/hg_plan_test.plan";
-  ASSERT_TRUE(strategy::save_plan(path, map, 8));
+  ASSERT_TRUE(strategy::save_plan(path, map, cluster));
   const auto loaded = strategy::load_plan(path, 8);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_TRUE(loaded->group_actions[0] == map.group_actions[0]);

@@ -13,7 +13,7 @@
 #include "models/models.h"
 #include "sched/scheduler.h"
 #include "sim/plan_eval.h"
-#include "sim/sim_core.h"
+#include "sim_oracle.h"
 #include "test_util.h"
 
 namespace heterog {
@@ -291,14 +291,14 @@ TEST(RandomScheduleInvariants, NoResourceOverlapAndMakespanBound) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental re-simulation property wall: after ANY single StrategyAction
-// flip, re-simulating the re-compiled plan against the *old* plan's baseline
-// must equal a from-scratch simulation byte-exactly — makespan, the full
+// Simulator-vs-oracle property wall: for a random plan and ANY single
+// StrategyAction flip of it, sim::Simulator must equal the reference oracle
+// (sim_oracle.h) byte-exactly on both compiled graphs — makespan, the full
 // start/finish trace, the per-device peak-memory vector and the OOM flags
 // included. 300 seeded cases across random graphs, groupings, strategies and
 // flip positions on a 4-GPU two-host cluster.
 
-TEST(IncrementalResimProperty, SingleActionFlipMatchesFromScratch) {
+TEST(SimOracleProperty, SingleActionFlipMatchesOracle) {
   constexpr int kCases = 300;
   Rng rng(20260809);
   heterog::testing::TestRig rig{
@@ -315,20 +315,10 @@ TEST(IncrementalResimProperty, SingleActionFlipMatchesFromScratch) {
       map.group_actions.push_back(Action::from_index(
           rng.uniform_int(0, Action::action_count(devices) - 1), devices));
     }
-    const auto compiled = rig.compiler->compile(graph, grouping, map);
 
-    sim::SimOptions options;  // data-oriented default, memory tracking on
+    sim::SimOptions options;  // memory tracking on
     options.policy = rng.uniform_int(0, 1) == 0 ? sched::OrderPolicy::kRankPriority
                                                 : sched::OrderPolicy::kFifo;
-    auto priorities_for = [&](const compile::DistGraph& g) {
-      return options.policy == sched::OrderPolicy::kRankPriority
-                 ? sched::rank_priorities(g)
-                 : std::vector<double>(static_cast<size_t>(g.node_count()), 0.0);
-    };
-
-    sim::SimBaseline baseline;
-    sim::Simulator(options).run_baseline(compiled.graph, priorities_for(compiled.graph),
-                                         baseline);
 
     // Flip exactly one group's action (to a genuinely different one).
     strategy::StrategyMap flipped = map;
@@ -341,29 +331,29 @@ TEST(IncrementalResimProperty, SingleActionFlipMatchesFromScratch) {
     }
     flipped.group_actions[static_cast<size_t>(group)] = replacement;
 
-    const auto recompiled = rig.compiler->compile(graph, grouping, flipped);
-    const auto priorities = priorities_for(recompiled.graph);
-    auto scratch =
-        sim::Simulator(options).run_with_priorities(recompiled.graph, priorities);
-    auto incremental =
-        sim::Simulator(options).resimulate(recompiled.graph, priorities, baseline);
-    sim::apply_oom_check(scratch, rig.cluster);
-    sim::apply_oom_check(incremental, rig.cluster);
+    for (const auto* plan : {&map, &flipped}) {
+      SCOPED_TRACE(plan == &map ? "base plan" : "flipped plan");
+      const auto compiled = rig.compiler->compile(graph, grouping, *plan);
+      auto oracle = heterog::testing::oracle_simulate(compiled.graph, options);
+      auto core = sim::Simulator(options).run(compiled.graph);
+      sim::apply_oom_check(oracle, rig.cluster);
+      sim::apply_oom_check(core, rig.cluster);
 
-    // Byte-exact equality: memcmp on the double vectors, == on the rest.
-    auto bytes_equal = [](const std::vector<double>& a, const std::vector<double>& b) {
-      return a.size() == b.size() &&
-             (a.empty() ||
-              std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
-    };
-    ASSERT_TRUE(bytes_equal({scratch.makespan_ms}, {incremental.makespan_ms}))
-        << scratch.makespan_ms << " vs " << incremental.makespan_ms;
-    ASSERT_TRUE(bytes_equal(scratch.resource_busy_ms, incremental.resource_busy_ms));
-    ASSERT_TRUE(bytes_equal(scratch.start_ms, incremental.start_ms));
-    ASSERT_TRUE(bytes_equal(scratch.finish_ms, incremental.finish_ms));
-    ASSERT_EQ(scratch.peak_memory_bytes, incremental.peak_memory_bytes);
-    ASSERT_EQ(scratch.oom, incremental.oom);
-    ASSERT_EQ(scratch.oom_devices, incremental.oom_devices);
+      // Byte-exact equality: memcmp on the double vectors, == on the rest.
+      auto bytes_equal = [](const std::vector<double>& a, const std::vector<double>& b) {
+        return a.size() == b.size() &&
+               (a.empty() ||
+                std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+      };
+      ASSERT_TRUE(bytes_equal({oracle.makespan_ms}, {core.makespan_ms}))
+          << oracle.makespan_ms << " vs " << core.makespan_ms;
+      ASSERT_TRUE(bytes_equal(oracle.resource_busy_ms, core.resource_busy_ms));
+      ASSERT_TRUE(bytes_equal(oracle.start_ms, core.start_ms));
+      ASSERT_TRUE(bytes_equal(oracle.finish_ms, core.finish_ms));
+      ASSERT_EQ(oracle.peak_memory_bytes, core.peak_memory_bytes);
+      ASSERT_EQ(oracle.oom, core.oom);
+      ASSERT_EQ(oracle.oom_devices, core.oom_devices);
+    }
   }
 }
 

@@ -26,6 +26,7 @@
 #include "faults/faults.h"
 #include "server/protocol.h"
 #include "sim/plan_eval.h"
+#include "sim_oracle.h"
 #include "store/plan_store.h"
 #include "strategy/serialize.h"
 #include "strategy/strategy.h"
@@ -388,8 +389,9 @@ TEST(Fuzz, ServerReplyDecodeNeverCrashes) {
 // Simulator-input fuzzer: malformed / degenerate DistGraph shapes. The
 // contract is reject-or-complete — every entry point either throws a typed
 // CheckError (validate_for_simulation) or finishes the run; it never hangs,
-// never corrupts a heap, never trips ASan/UBSan. Both implementations must
-// agree on which of the two happens, and on the result when they complete.
+// never corrupts a heap, never trips ASan/UBSan. Simulator and the reference
+// oracle must agree on which of the two happens, and on the result when they
+// complete.
 
 TEST(Fuzz, SimulatorDegenerateGraphShapes) {
   // Targeted shapes first: each either passes DistGraph::add_node and must
@@ -399,20 +401,17 @@ TEST(Fuzz, SimulatorDegenerateGraphShapes) {
   using compile::NodeKind;
 
   auto run_both = [](const DistGraph& g) {
-    // Returns true when the graph was rejected; checks both impls agree.
-    sim::SimOptions reference_options;
-    reference_options.impl = sim::SimImpl::kReference;
-    sim::SimOptions data_options;
-    data_options.impl = sim::SimImpl::kDataOriented;
+    // Returns true when the graph was rejected; checks Simulator and the
+    // oracle agree.
     bool reference_rejected = false, data_rejected = false;
     double reference_ms = -1.0, data_ms = -1.0;
     try {
-      reference_ms = sim::Simulator(reference_options).run(g).makespan_ms;
+      reference_ms = testing::oracle_simulate(g).makespan_ms;
     } catch (const CheckError&) {
       reference_rejected = true;
     }
     try {
-      data_ms = sim::Simulator(data_options).run(g).makespan_ms;
+      data_ms = sim::Simulator().run(g).makespan_ms;
     } catch (const CheckError&) {
       data_rejected = true;
     }
@@ -448,7 +447,7 @@ TEST(Fuzz, SimulatorDegenerateGraphShapes) {
     c.duration_ms = 1.0;
     c.output_bytes = 64;
     g.add_node(c);
-    run_both(g);  // reject or complete, both impls agreeing
+    run_both(g);  // reject or complete, Simulator and oracle agreeing
   }
   {
     // Empty / single-element participant lists are rejected at add_node.
@@ -461,7 +460,7 @@ TEST(Fuzz, SimulatorDegenerateGraphShapes) {
   }
   {
     // Out-of-range collective participant passes add_node (documented) and
-    // must be rejected by validate_for_simulation in both impls.
+    // must be rejected by validate_for_simulation on both sides.
     DistGraph g(2);
     DistNode c;
     c.kind = NodeKind::kCollective;

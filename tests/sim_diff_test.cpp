@@ -1,11 +1,12 @@
-// Differential wall for the data-oriented simulator core (DESIGN.md §5i).
+// Differential wall for the simulator (DESIGN.md §5i).
 //
-// The reference per-node priority_queue simulator is the oracle; the flat
-// SoA core and the incremental re-simulation path must reproduce it
-// BIT-identically — makespans, busy times, peak-memory vectors and the full
-// start/finish trace are compared with exact (memcmp-grade) equality, never
-// tolerances. Scenarios are seeded and randomized: models × clusters ×
-// policies × fault scalings × single-action strategy deltas.
+// The reference per-node priority_queue simulator (sim_oracle.h) is the
+// oracle; sim::Simulator's data-oriented core and the fault runners'
+// unscaled-run shortcut must reproduce it BIT-identically — makespans, busy
+// times, peak-memory vectors and the full start/finish trace are compared
+// with exact (memcmp-grade) equality, never tolerances. Scenarios are seeded
+// and randomized: models × clusters × policies × fault scalings ×
+// single-action strategy deltas.
 //
 // ctest label: simdiff (runs under ASan/UBSan and TSan in CI).
 #include <cstring>
@@ -21,8 +22,8 @@
 #include "profiler/hardware_model.h"
 #include "sched/scheduler.h"
 #include "sim/fault_sim.h"
-#include "sim/sim_core.h"
 #include "sim/simulator.h"
+#include "sim_oracle.h"
 #include "strategy/strategy.h"
 #include "test_util.h"
 
@@ -30,8 +31,6 @@ namespace heterog {
 namespace {
 
 using sched::OrderPolicy;
-using sim::SimBaseline;
-using sim::SimImpl;
 using sim::SimOptions;
 using sim::SimResult;
 using sim::Simulator;
@@ -43,8 +42,8 @@ bool bytes_equal(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 /// Exact equality of every observable the simulator reports. Doubles are
-/// compared as raw bytes: "close" is a bug here, the two paths must execute
-/// the same arithmetic in the same order.
+/// compared as raw bytes: "close" is a bug here, the core and the oracle
+/// must execute the same arithmetic in the same order.
 void expect_identical(const SimResult& oracle, const SimResult& candidate,
                       const std::string& what) {
   SCOPED_TRACE(what);
@@ -104,8 +103,8 @@ faults::FaultScaling random_scaling(std::mt19937& rng, int device_count) {
 }
 
 /// One randomized scenario: compile a (model, cluster, strategy) triple, then
-/// compare reference vs data-oriented vs incremental on the base graph, a
-/// fault-scaled variant, and a single-action strategy delta.
+/// compare Simulator against the oracle on the base graph, a fault-scaled
+/// variant, and a single-action strategy delta.
 void run_scenario(int seed, const graph::GraphDef& graph,
                   const testing::TestRig& rig, const std::string& tag) {
   std::mt19937 rng(static_cast<uint32_t>(seed));
@@ -119,55 +118,28 @@ void run_scenario(int seed, const graph::GraphDef& graph,
   }
   const auto compiled = rig.compiler->compile(graph, grouping, map);
 
-  const OrderPolicy policy =
-      rng() % 2 == 0 ? OrderPolicy::kRankPriority : OrderPolicy::kFifo;
-  SimOptions reference_options;
-  reference_options.policy = policy;
-  reference_options.impl = SimImpl::kReference;
-  reference_options.track_memory = rng() % 4 != 0;
-  SimOptions data_options = reference_options;
-  data_options.impl = SimImpl::kDataOriented;
+  SimOptions options;
+  options.policy = rng() % 2 == 0 ? OrderPolicy::kRankPriority : OrderPolicy::kFifo;
+  options.track_memory = rng() % 4 != 0;
+  const Simulator simulator(options);
+  auto compare = [&](const compile::DistGraph& g, const std::string& what) {
+    const auto priorities = priorities_for(g, options.policy);
+    expect_identical(testing::oracle_simulate(g, priorities, options),
+                     simulator.run_with_priorities(g, priorities), tag + ": " + what);
+  };
 
-  const auto priorities = priorities_for(compiled.graph, policy);
-  const SimResult oracle =
-      Simulator(reference_options).run_with_priorities(compiled.graph, priorities);
+  compare(compiled.graph, "base graph");
 
-  // Data-oriented from scratch, baseline recording, and a no-op delta.
-  const SimResult data =
-      Simulator(data_options).run_with_priorities(compiled.graph, priorities);
-  expect_identical(oracle, data, tag + ": data-oriented");
-  SimBaseline baseline;
-  const SimResult recorded =
-      Simulator(data_options).run_baseline(compiled.graph, priorities, baseline);
-  expect_identical(oracle, recorded, tag + ": baseline recording");
-  const SimResult noop =
-      Simulator(data_options).resimulate(compiled.graph, priorities, baseline);
-  expect_identical(oracle, noop, tag + ": no-op delta");
-
-  // Fault-scaled delta: durations change, structure does not.
+  // Fault-scaled variant: durations change, structure does not.
   const faults::FaultScaling scaling = random_scaling(rng, devices);
-  const auto scaled = sim::apply_fault_scaling(compiled.graph, rig.cluster, scaling);
-  const auto scaled_priorities = priorities_for(scaled, policy);
-  const SimResult scaled_oracle =
-      Simulator(reference_options).run_with_priorities(scaled, scaled_priorities);
-  const SimResult scaled_incremental =
-      Simulator(data_options).resimulate(scaled, scaled_priorities, baseline);
-  expect_identical(scaled_oracle, scaled_incremental, tag + ": fault delta");
+  compare(sim::apply_fault_scaling(compiled.graph, rig.cluster, scaling), "fault delta");
 
   // Single-action strategy delta: the re-compiled graph can have a different
-  // node count; resimulate must still match a from-scratch run exactly.
+  // node count.
   strategy::StrategyMap flipped = map;
   const size_t group = rng() % flipped.group_actions.size();
-  strategy::Action replacement = random_action(rng, devices);
-  flipped.group_actions[group] = replacement;
-  const auto recompiled = rig.compiler->compile(graph, grouping, flipped);
-  const auto flipped_priorities = priorities_for(recompiled.graph, policy);
-  const SimResult flipped_oracle =
-      Simulator(reference_options)
-          .run_with_priorities(recompiled.graph, flipped_priorities);
-  const SimResult flipped_incremental =
-      Simulator(data_options).resimulate(recompiled.graph, flipped_priorities, baseline);
-  expect_identical(flipped_oracle, flipped_incremental, tag + ": strategy delta");
+  flipped.group_actions[group] = random_action(rng, devices);
+  compare(rig.compiler->compile(graph, grouping, flipped).graph, "strategy delta");
 }
 
 /// A small randomized layered training graph: enough structural variety
@@ -242,51 +214,127 @@ TEST(SimDiffTest, PaperModels) {
   }
 }
 
-// The memoised fault runner must agree with from-scratch simulation of every
-// scaled variant regardless of implementation: kReference recomputes, the
-// default incrementally replays the unscaled baseline.
+// A plan on two model-parallel islands (the first half of the groups on
+// GPU 0, the rest on GPU 7): GPUs 1-6 stay idle, so a fault can land on a
+// device the plan never uses, and the islands exchange activations over the
+// 0 <-> 7 link.
+compile::DistGraph two_island_plan(const testing::TestRig& rig,
+                                   const graph::GraphDef& graph) {
+  const auto grouping = strategy::Grouping::build(graph, *rig.costs, 16);
+  strategy::StrategyMap map;
+  for (int g = 0; g < grouping.group_count(); ++g) {
+    map.group_actions.push_back(
+        strategy::Action::mp(g < grouping.group_count() / 2 ? 0 : 7));
+  }
+  return rig.compiler->compile(graph, grouping, map).graph;
+}
+
+// Fault-scaled variants of the two-island plan under both policies: a
+// straggler on an idle GPU changes no duration (apply_fault_scaling says
+// so), a straggler on an island GPU changes some; either way Simulator on
+// the scaled graph equals the oracle.
+TEST(SimDiffTest, FaultScaledIslandsMatchOracle) {
+  testing::TestRig rig(cluster::make_paper_testbed_8gpu());
+  const auto graph = two_island_plan(
+      rig, models::build_training(models::ModelKind::kMobileNetV2, 0, 16.0));
+  for (const auto policy : {OrderPolicy::kFifo, OrderPolicy::kRankPriority}) {
+    SimOptions options;
+    options.policy = policy;
+    options.track_memory = false;
+    for (const int device : {3, 7}) {
+      for (int d = 0; d < 4; ++d) {
+        const std::string what = "policy " + std::to_string(static_cast<int>(policy)) +
+                                 " device " + std::to_string(device) + " delta " +
+                                 std::to_string(d);
+        faults::FaultScaling scaling;
+        scaling.compute_slowdown.assign(8, 1.0);
+        scaling.compute_slowdown[static_cast<size_t>(device)] =
+            1.1 + 0.1 * static_cast<double>(d);
+        bool changed = true;
+        const auto scaled =
+            sim::apply_fault_scaling(graph, rig.cluster, scaling, &changed);
+        EXPECT_EQ(changed, device == 7) << what;
+        expect_identical(testing::oracle_simulate(scaled, options),
+                         Simulator(options).run(scaled), what);
+        if (!changed) {
+          expect_identical(testing::oracle_simulate(graph, options),
+                           Simulator(options).run(scaled), what + " vs unscaled");
+        }
+      }
+    }
+  }
+}
+
+// The fault runners (FaultInjector::attempt_step and simulate_with_faults)
+// answer a scaling that changes no duration from their one unscaled run and
+// simulate every other scaling from scratch; both must equal the oracle run
+// on apply_fault_scaling of the step's fault set. Cases: a straggler on a
+// GPU the plan uses, a straggler on one it never uses (the unscaled-run
+// shortcut) and a degraded link between the islands.
 TEST(SimDiffTest, FaultInjectorPathsAgree) {
   testing::TestRig rig(cluster::make_paper_testbed_8gpu());
-  const auto graph = testing::make_toy_training_graph(64.0);
-  const auto compiled = rig.compile_uniform(
-      graph, strategy::Action::dp(strategy::ReplicationMode::kEven,
-                                  strategy::CommMethod::kAllReduce));
+  const auto graph = two_island_plan(rig, testing::make_toy_training_graph(64.0));
+  constexpr int kSteps = 4;
 
-  faults::FaultPlan plan;
-  faults::FaultEvent slow;
-  slow.kind = faults::FaultKind::kStraggler;
-  slow.device = 2;
-  slow.onset_step = 1;
-  slow.slowdown = 3.0;
-  plan.events.push_back(slow);
-
-  SimOptions reference_options;
-  reference_options.impl = SimImpl::kReference;
-  SimOptions data_options;
-  data_options.impl = SimImpl::kDataOriented;
-  sim::FaultInjector reference_injector(compiled.graph, rig.cluster, plan,
-                                        reference_options);
-  sim::FaultInjector data_injector(compiled.graph, rig.cluster, plan, data_options);
-  for (int step = 0; step < 4; ++step) {
-    const auto reference_obs = reference_injector.attempt_step(step, 0);
-    const auto data_obs = data_injector.attempt_step(step, 0);
-    ASSERT_EQ(reference_obs.completed, data_obs.completed) << "step " << step;
-    EXPECT_TRUE(bytes_equal({reference_obs.makespan_ms}, {data_obs.makespan_ms}))
-        << "step " << step;
-    EXPECT_TRUE(bytes_equal(reference_obs.device_busy_ms, data_obs.device_busy_ms))
-        << "step " << step;
+  struct Case {
+    const char* name;
+    faults::FaultEvent event;
+    bool changes_durations;
+  };
+  std::vector<Case> cases;
+  {
+    faults::FaultEvent used;
+    used.kind = faults::FaultKind::kStraggler;
+    used.device = 7;
+    used.onset_step = 1;
+    used.recovery_step = 3;
+    used.slowdown = 3.0;
+    cases.push_back({"straggler on a used GPU", used, true});
+    faults::FaultEvent idle = used;
+    idle.device = 3;
+    cases.push_back({"straggler on an idle GPU", idle, false});
+    faults::FaultEvent link;
+    link.kind = faults::FaultKind::kLinkDegradation;
+    link.device_a = 0;
+    link.device_b = 7;
+    link.onset_step = 1;
+    link.bandwidth_factor = 0.25;
+    cases.push_back({"degraded 0<->7 link", link, true});
   }
 
-  const auto reference_run = sim::simulate_with_faults(compiled.graph, rig.cluster,
-                                                       plan, 4, reference_options);
-  const auto data_run =
-      sim::simulate_with_faults(compiled.graph, rig.cluster, plan, 4, data_options);
-  ASSERT_EQ(reference_run.steps.size(), data_run.steps.size());
-  EXPECT_TRUE(bytes_equal({reference_run.total_ms}, {data_run.total_ms}));
-  for (size_t i = 0; i < reference_run.steps.size(); ++i) {
-    EXPECT_TRUE(bytes_equal({reference_run.steps[i].makespan_ms},
-                            {data_run.steps[i].makespan_ms}))
-        << "step " << i;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    faults::FaultPlan plan;
+    plan.events.push_back(c.event);
+
+    SimOptions options;  // the runners simulate timing only
+    sim::FaultInjector injector(graph, rig.cluster, plan, options);
+    const auto run = sim::simulate_with_faults(graph, rig.cluster, plan, kSteps, options);
+    ASSERT_EQ(run.steps.size(), static_cast<size_t>(kSteps));
+    options.track_memory = false;
+
+    double total_ms = 0.0;
+    for (int step = 0; step < kSteps; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const auto scaling = faults::scaling_at(plan, rig.cluster, step);
+      bool changed = false;
+      const auto scaled = sim::apply_fault_scaling(graph, rig.cluster, scaling, &changed);
+      EXPECT_EQ(changed, c.changes_durations && c.event.active_at(step));
+      const SimResult oracle = testing::oracle_simulate(scaled, options);
+
+      std::vector<double> device_busy_ms(8, 0.0);
+      for (size_t r = 0; r < device_busy_ms.size(); ++r) {
+        device_busy_ms[r] = oracle.resource_busy_ms[r];
+      }
+      const auto obs = injector.attempt_step(step, 0);
+      ASSERT_TRUE(obs.completed);
+      EXPECT_TRUE(bytes_equal({oracle.makespan_ms}, {obs.makespan_ms}));
+      EXPECT_TRUE(bytes_equal(device_busy_ms, obs.device_busy_ms));
+
+      EXPECT_TRUE(bytes_equal({oracle.makespan_ms}, {run.steps[step].makespan_ms}));
+      total_ms += oracle.makespan_ms;
+    }
+    EXPECT_TRUE(bytes_equal({total_ms}, {run.total_ms}));
   }
 }
 
