@@ -127,7 +127,7 @@ int main() {
   config.emplace_back("eval_cache_capacity", std::to_string(kCacheCapacity));
   config.emplace_back("threads", "[1,2,4]");
   config.emplace_back("plan_store",
-                      plan_store != nullptr ? config_str(store_dir)
+                      plan_store != nullptr ? json::quoted(store_dir)
                                             : std::string("null"));
   write_bench_json("eval_engine", config);
   return 0;

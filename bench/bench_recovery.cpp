@@ -175,7 +175,7 @@ int main() {
   std::string scenario = "[";
   for (size_t i = 0; i < mixes.size(); ++i) {
     if (i != 0) scenario += ",";
-    scenario += config_str(mixes[i].label + ":" +
+    scenario += json::quoted(mixes[i].label + ":" +
                            std::to_string(mixes[i].plan.events.size()) +
                            " events");
   }

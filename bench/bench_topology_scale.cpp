@@ -179,7 +179,7 @@ int main() {
 
   write_bench_json("topology_scale",
                    {{"fast", fast_mode() ? "true" : "false"},
-                    {"presets", config_str(presets.front() + ".." + presets.back())},
+                    {"presets", json::quoted(presets.front() + ".." + presets.back())},
                     {"wall_budget_ms", std::to_string(kWallBudgetMs)}});
   return ok ? 0 : 1;
 }

@@ -30,6 +30,7 @@
 
 #include "agent/policy.h"
 #include "baselines/baselines.h"
+#include "common/json.h"
 #include "common/table.h"
 #include "models/models.h"
 #include "obs/metrics.h"
@@ -168,19 +169,8 @@ inline HeteroGPlan heterog_plan(const BenchRig& rig, const models::Benchmark& be
 
 /// Reproducibility knobs of one bench invocation, written verbatim into the
 /// JSON dump as `"config":{...}`. Values are raw JSON fragments: numbers via
-/// std::to_string, strings via config_str. Order is preserved.
+/// std::to_string, strings via json::quoted. Order is preserved.
 using BenchConfig = std::vector<std::pair<std::string, std::string>>;
-
-/// Quotes (and escapes) a string for use as a BenchConfig value.
-inline std::string config_str(const std::string& value) {
-  std::string out = "\"";
-  for (const char c : value) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
 
 /// Dumps the global metrics registry as one JSON object
 /// ({"bench":NAME,"config":{...},"metrics":{counters,gauges,histograms}}) to
@@ -198,17 +188,17 @@ inline void write_bench_json(const char* bench_name,
     std::fprintf(stderr, "bench: cannot write %s\n", path);
     return;
   }
-  std::string json = std::string("{\"bench\":\"") + bench_name + "\"";
-  json += ",\"config\":{";
+  std::string out = "{\"bench\":" + json::quoted(bench_name);
+  out += ",\"config\":{";
   bool first = true;
   for (const auto& [key, value] : config) {
-    if (!first) json += ",";
+    if (!first) out += ",";
     first = false;
-    json += config_str(key) + ":" + value;
+    out += json::quoted(key) + ":" + value;
   }
-  json += "}";
-  json += ",\"metrics\":" + obs::MetricsRegistry::global().snapshot().to_json() + "}\n";
-  std::fwrite(json.data(), 1, json.size(), file);
+  out += "}";
+  out += ",\"metrics\":" + obs::MetricsRegistry::global().snapshot().to_json() + "}\n";
+  std::fwrite(out.data(), 1, out.size(), file);
   std::fclose(file);
   std::printf("bench metrics json written to %s\n", path);
 }

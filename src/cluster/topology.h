@@ -69,9 +69,10 @@ ClusterSpec generate_cluster(const TopoGenOptions& options);
 /// it byte-identically (doubles via %.17g).
 std::string topo_gen_to_json(const TopoGenOptions& options);
 
-/// Parses generator options from JSON (schema in docs/topology.md). Unknown
-/// fields, wrong types, bad nesting and trailing bytes all throw
-/// TopoSpecError ("topology spec JSON: <why> (at offset N)").
+/// Parses generator options from JSON (schema in docs/topology.md). Input
+/// that is not JSON (malformed numbers, bad nesting, trailing bytes) throws
+/// TopoSpecError("topology spec JSON: <why> (at offset N)"); unknown fields,
+/// wrong types and invalid values throw TopoSpecError("topology spec: <why>").
 TopoGenOptions parse_topo_gen_json(const std::string& text);
 
 /// Reads and parses a JSON options file; TopoSpecError when unreadable.

@@ -92,9 +92,15 @@ void ThreadPool::parallel_for(size_t n, const std::function<void(size_t)>& body)
   }
   work_ready_.notify_all();
 
-  std::unique_lock<std::mutex> lock(batch->mu);
-  batch->done.wait(lock, [&] { return batch->remaining == 0; });
-  if (batch->error) std::rethrow_exception(batch->error);
+  // Take the exception out under the lock: a worker's run_one copy may drop
+  // the last Batch reference after `done`, and must not free it with Batch.
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(batch->mu);
+    batch->done.wait(lock, [&] { return batch->remaining == 0; });
+    error = std::move(batch->error);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace heterog

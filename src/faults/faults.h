@@ -189,7 +189,9 @@ cluster::ClusterSpec degraded_cluster(const cluster::ClusterSpec& base,
 ///      "onset_step": 3, "bandwidth_factor": 0.5}
 ///   ]}
 /// Domain events (the last three) only validate against clusters that carry
-/// a switch topology; "switch" maps to FaultEvent::switch_index.
+/// a switch topology; "switch" maps to FaultEvent::switch_index. Input that
+/// is not JSON throws FaultPlanError("fault plan JSON: <why> (at offset N)");
+/// schema errors throw FaultPlanError("fault plan: <why>").
 FaultPlan parse_fault_plan_json(const std::string& text);
 
 /// Reads and parses `path`; throws FaultPlanError when unreadable.

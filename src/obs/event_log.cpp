@@ -1,51 +1,15 @@
 #include "obs/event_log.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <fstream>
 
 #include "common/check.h"
+#include "common/json.h"
 
 namespace heterog::obs {
-
-namespace {
-
-void append_escaped(std::string& out, const std::string& value) {
-  out += '"';
-  for (const char c : value) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void append_double(std::string& out, double value) {
-  for (int precision = 1; precision <= 17; ++precision) {
-    char candidate[40];
-    std::snprintf(candidate, sizeof(candidate), "%.*g", precision, value);
-    double parsed = 0.0;
-    std::sscanf(candidate, "%lf", &parsed);
-    if (parsed == value) {
-      out += candidate;
-      return;
-    }
-  }
-}
-
-}  // namespace
 
 const std::vector<std::string>& all_event_types() {
   // The emit-side schema. Adding a type here without a matching section in
@@ -132,17 +96,16 @@ Event& Event::with(const std::string& key, const char* value) {
 
 std::string Event::to_json(uint64_t seq) const {
   std::string out = "{\"v\":" + std::to_string(EventLog::kSchemaVersion) +
-                    ",\"seq\":" + std::to_string(seq) + ",\"type\":";
-  append_escaped(out, type_);
+                    ",\"seq\":" + std::to_string(seq) + ",\"type\":" + json::quoted(type_);
   for (const Field& f : fields_) {
     out += ',';
-    append_escaped(out, f.key);
+    out += json::quoted(f.key);
     out += ':';
     switch (f.kind) {
       case Kind::kInt: out += std::to_string(f.int_value); break;
-      case Kind::kDouble: append_double(out, f.double_value); break;
+      case Kind::kDouble: out += json::number_shortest(f.double_value); break;
       case Kind::kBool: out += f.bool_value ? "true" : "false"; break;
-      case Kind::kString: append_escaped(out, f.string_value); break;
+      case Kind::kString: out += json::quoted(f.string_value); break;
     }
   }
   out += '}';
@@ -178,17 +141,15 @@ uint64_t EventLog::events_emitted() const {
 
 double ParsedEvent::number(const std::string& key, double fallback) const {
   const auto it = fields.find(key);
-  if (it == fields.end()) return fallback;
+  // A non-finite double is written as null: it reads back as absent.
+  if (it == fields.end() || it->second == "null") return fallback;
+  // Booleans count as numbers for aggregation (true=1, false=0).
+  if (it->second == "true") return 1.0;
+  if (it->second == "false") return 0.0;
   const char* text = it->second.c_str();
   char* end = nullptr;
   const double value = std::strtod(text, &end);
-  if (end == text) {
-    // Booleans count as numbers for aggregation (true=1, false=0).
-    if (it->second == "true") return 1.0;
-    if (it->second == "false") return 0.0;
-    return fallback;
-  }
-  return value;
+  return end == text ? fallback : value;
 }
 
 std::string ParsedEvent::str(const std::string& key) const {
@@ -198,116 +159,55 @@ std::string ParsedEvent::str(const std::string& key) const {
 
 namespace {
 
-// Minimal parser for the flat one-line objects the writer emits. `pos` is
-// advanced past the parsed token; any deviation throws EventLogError with
-// the line number for context.
 [[noreturn]] void parse_fail(int line_no, const std::string& why) {
   throw EventLogError("event log line " + std::to_string(line_no) + ": " + why);
 }
 
-void skip_ws(const std::string& s, size_t& pos) {
-  while (pos < s.size() && (s[pos] == ' ' || s[pos] == '\t')) ++pos;
+/// `v` and `seq` are whole JSON integers: no sign games, fractions or
+/// exponents, and in range of the envelope field's type.
+template <typename Int>
+Int envelope_int(const json::Value& value, const char* key, int line_no) {
+  Int out = 0;
+  if (value.type == json::Value::Type::kNumber) {
+    const char* end = value.text.data() + value.text.size();
+    const auto [ptr, ec] = std::from_chars(value.text.data(), end, out);
+    if (ec == std::errc() && ptr == end) return out;
+  }
+  parse_fail(line_no, std::string("\"") + key + "\" must be an integer in range");
 }
 
-std::string parse_string(const std::string& s, size_t& pos, int line_no) {
-  if (pos >= s.size() || s[pos] != '"') parse_fail(line_no, "expected string");
-  ++pos;
-  std::string out;
-  while (pos < s.size() && s[pos] != '"') {
-    char c = s[pos++];
-    if (c == '\\') {
-      if (pos >= s.size()) parse_fail(line_no, "dangling escape");
-      const char esc = s[pos++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos + 4 > s.size()) parse_fail(line_no, "short \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s[pos++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else parse_fail(line_no, "bad \\u escape");
-          }
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else {
-            // The writer only emits \u for control chars; anything else in
-            // a hand-edited file is preserved as UTF-8 (2-byte range).
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default: parse_fail(line_no, "unknown escape");
-      }
-    } else {
-      out += c;
-    }
+/// A scalar's text as ParsedEvent keeps it: strings decoded, numbers as
+/// their source lexeme.
+std::string scalar_text(const json::Value& value) {
+  switch (value.type) {
+    case json::Value::Type::kNull: return "null";
+    case json::Value::Type::kBool: return value.boolean ? "true" : "false";
+    default: return value.text;
   }
-  if (pos >= s.size()) parse_fail(line_no, "unterminated string");
-  ++pos;  // closing quote
-  return out;
-}
-
-std::string parse_scalar(const std::string& s, size_t& pos, int line_no) {
-  skip_ws(s, pos);
-  if (pos >= s.size()) parse_fail(line_no, "missing value");
-  if (s[pos] == '"') return parse_string(s, pos, line_no);
-  if (s[pos] == '{' || s[pos] == '[') {
-    parse_fail(line_no, "nested values are not part of the v1 schema");
-  }
-  const size_t start = pos;
-  while (pos < s.size() && s[pos] != ',' && s[pos] != '}') ++pos;
-  std::string out = s.substr(start, pos - start);
-  while (!out.empty() && (out.back() == ' ' || out.back() == '\t')) out.pop_back();
-  if (out.empty()) parse_fail(line_no, "empty value");
-  return out;
 }
 
 ParsedEvent parse_line(const std::string& line, int line_no) {
-  size_t pos = 0;
-  skip_ws(line, pos);
-  if (pos >= line.size() || line[pos] != '{') parse_fail(line_no, "expected '{'");
-  ++pos;
+  const json::Value root = json::parse_or_throw<EventLogError>(
+      line, "event log line " + std::to_string(line_no) + ": ");
+  if (root.type != json::Value::Type::kObject) parse_fail(line_no, "expected an object");
   ParsedEvent event;
-  bool first = true;
-  while (true) {
-    skip_ws(line, pos);
-    if (pos < line.size() && line[pos] == '}') {
-      ++pos;
-      break;
+  for (const auto& [key, value] : root.object) {
+    if (value.type == json::Value::Type::kArray || value.type == json::Value::Type::kObject) {
+      parse_fail(line_no, "nested values are not part of the v1 schema");
     }
-    if (!first) {
-      if (pos >= line.size() || line[pos] != ',') parse_fail(line_no, "expected ','");
-      ++pos;
-      skip_ws(line, pos);
-    }
-    first = false;
-    const std::string key = parse_string(line, pos, line_no);
-    skip_ws(line, pos);
-    if (pos >= line.size() || line[pos] != ':') parse_fail(line_no, "expected ':'");
-    ++pos;
-    const std::string value = parse_scalar(line, pos, line_no);
     if (key == "v") {
-      event.version = std::atoi(value.c_str());
+      event.version = envelope_int<int>(value, "v", line_no);
     } else if (key == "seq") {
-      event.seq = static_cast<uint64_t>(std::atoll(value.c_str()));
+      event.seq = envelope_int<uint64_t>(value, "seq", line_no);
     } else if (key == "type") {
-      event.type = value;
+      if (value.type != json::Value::Type::kString) {
+        parse_fail(line_no, "\"type\" must be a string");
+      }
+      event.type = value.text;
     } else {
-      event.fields[key] = value;
+      event.fields[key] = scalar_text(value);
     }
   }
-  skip_ws(line, pos);
-  if (pos != line.size()) parse_fail(line_no, "trailing garbage after object");
   if (event.version <= 0 || event.version > EventLog::kSchemaVersion) {
     parse_fail(line_no, "unsupported schema version " + std::to_string(event.version));
   }
@@ -318,27 +218,13 @@ ParsedEvent parse_line(const std::string& line, int line_no) {
 }  // namespace
 
 std::vector<ParsedEvent> read_events(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  if (file == nullptr) throw EventLogError("cannot read " + path);
-  std::string content;
-  char buffer[4096];
-  size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    content.append(buffer, n);
-  }
-  std::fclose(file);
-
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw EventLogError("cannot read " + path);
   std::vector<ParsedEvent> events;
-  size_t start = 0;
-  int line_no = 0;
-  while (start < content.size()) {
-    size_t end = content.find('\n', start);
-    if (end == std::string::npos) end = content.size();
-    ++line_no;
-    std::string line = content.substr(start, end - start);
+  std::string line;
+  for (int line_no = 1; std::getline(in, line); ++line_no) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (!line.empty()) events.push_back(parse_line(line, line_no));
-    start = end + 1;
   }
   return events;
 }

@@ -120,7 +120,8 @@ struct ParsedEvent {
   std::map<std::string, std::string> fields;  // key -> scalar value (decoded)
 
   bool has(const std::string& key) const { return fields.count(key) > 0; }
-  /// Field as double; `fallback` when absent or non-numeric.
+  /// Field as double; `fallback` when absent, null (a non-finite double
+  /// written by Event) or non-numeric.
   double number(const std::string& key, double fallback = 0.0) const;
   /// Field as decoded string; empty when absent.
   std::string str(const std::string& key) const;

@@ -6,38 +6,11 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "common/json.h"
 
 namespace heterog::sim {
 
 namespace {
-
-/// Escapes a string for embedding in JSON.
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size() + 8);
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string resource_name(const compile::ResourceModel& resources, int resource) {
   if (resources.is_gpu_resource(resource)) {
@@ -68,8 +41,7 @@ std::string chrome_trace_json(const compile::DistGraph& graph, const SimResult& 
     if (!first) os << ",";
     first = false;
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << r
-       << ",\"args\":{\"name\":\"" << json_escape(resource_name(resources, r))
-       << "\"}}";
+       << ",\"args\":{\"name\":" << json::quoted(resource_name(resources, r)) << "}}";
   }
 
   for (compile::DistNodeId id = 0; id < graph.node_count(); ++id) {
@@ -81,7 +53,7 @@ std::string chrome_trace_json(const compile::DistGraph& graph, const SimResult& 
                      result.start_ms[static_cast<size_t>(id)],
                  0.0) *
         1000.0;
-    os << ",{\"name\":\"" << json_escape(node.name) << "\",\"ph\":\"X\",\"pid\":0,"
+    os << ",{\"name\":" << json::quoted(node.name) << ",\"ph\":\"X\",\"pid\":0,"
        << "\"tid\":" << resource << ",\"ts\":" << start_us << ",\"dur\":" << dur_us
        << ",\"cat\":\"" << compile::node_kind_name(node.kind) << "\""
        << ",\"args\":{\"bytes\":" << node.output_bytes << "}}";

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "common/check.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -143,6 +149,93 @@ TEST(Table, Formatters) {
   EXPECT_EQ(fmt_double(0.4615, 3), "0.462");
   EXPECT_EQ(fmt_percent(0.963, 1), "96.3%");
   EXPECT_EQ(fmt_bytes(1536), "1.50 KB");
+}
+
+TEST(Json, ParsesEveryValueKind) {
+  const json::Value v = json::parse(
+      " {\"a\": [1, -2.5e3, true, false, null], \"s\": \"x\\u00e9\\ud83d\\ude00\\/\","
+      " \"o\": {}}\r\n");
+  ASSERT_EQ(v.type, json::Value::Type::kObject);
+  const json::Value* a = v.find("a");
+  ASSERT_NE(a, nullptr);
+  ASSERT_EQ(a->array.size(), 5u);
+  EXPECT_EQ(a->array[1].type, json::Value::Type::kNumber);
+  EXPECT_EQ(a->array[1].number, -2500.0);
+  EXPECT_EQ(a->array[1].text, "-2.5e3");  // the source lexeme is kept
+  EXPECT_TRUE(a->array[2].boolean);
+  EXPECT_EQ(a->array[3].type, json::Value::Type::kBool);
+  EXPECT_EQ(a->array[4].type, json::Value::Type::kNull);
+  EXPECT_EQ(v.find("s")->text, "x\xc3\xa9\xf0\x9f\x98\x80/");
+  EXPECT_EQ(v.find("o")->type, json::Value::Type::kObject);
+  EXPECT_EQ(v.find("missing"), nullptr);
+  EXPECT_EQ(json::parse(R"({"k": 1, "k": 2})").find("k")->number, 2.0);  // last wins
+}
+
+TEST(Json, RejectsWithReasonAndOffset) {
+  struct Case {
+    std::string text;
+    size_t offset;
+  };
+  const std::vector<Case> cases = {
+      {"", 0},          {"[1, 02]", 4},    {"[1-2]", 1},         {"3e", 0},
+      {"-", 0},         {"1.", 0},         {".5", 0},            {"+1", 0},
+      {"[1,]", 3},      {"{\"a\" 1}", 5},  {"{1: 2}", 1},        {"\"a\tb\"", 2},
+      {"\"\\x\"", 2},   {"\"\\u12\"", 3},  {"\"\\ud800\"", 7},   {"\"\\ude00\"", 7},
+      {"[1] x", 4},     {"1e400", 0},      {"tru", 0},           {"\v1", 0},
+      {"\"open", 5},    {"[1 2]", 3},      {"NaN", 0},           {"Infinity", 0},
+  };
+  for (const Case& c : cases) {
+    try {
+      (void)json::parse(c.text);
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const json::ParseError& e) {
+      EXPECT_EQ(e.offset(), c.offset) << c.text << ": " << e.what();
+      EXPECT_FALSE(e.reason().empty());
+      EXPECT_EQ(std::string(e.what()),
+                e.reason() + " (at offset " + std::to_string(c.offset) + ")");
+    }
+  }
+}
+
+TEST(Json, DepthCapIsTyped) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<size_t>(depth), '[') +
+           std::string(static_cast<size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW((void)json::parse(nested(json::kMaxDepth)));
+  try {
+    (void)json::parse(nested(json::kMaxDepth + 1));
+    ADD_FAILURE() << "nesting past the cap accepted";
+  } catch (const json::ParseError& e) {
+    EXPECT_EQ(e.reason(), "nesting too deep");
+    EXPECT_EQ(e.offset(), static_cast<size_t>(json::kMaxDepth));
+  }
+}
+
+TEST(Json, QuotedRoundTripsEveryByte) {
+  EXPECT_EQ(json::quoted("a\"b\\c\n\r\t\x01/"), R"("a\"b\\c\n\r\t\u0001/")");
+  std::string every_byte;
+  for (int c = 0; c < 256; ++c) every_byte += static_cast<char>(c);
+  EXPECT_EQ(json::parse(json::quoted(every_byte)).text, every_byte);
+}
+
+TEST(Json, NumberWriters) {
+  EXPECT_EQ(json::number_exact(0.1), "0.10000000000000001");
+  EXPECT_EQ(json::number_shortest(0.1), "0.1");
+  EXPECT_EQ(json::number_shortest(100000000.0), "1e+08");
+  EXPECT_EQ(json::number_shortest(-0.5), "-0.5");
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(json::number_exact(bad), "null");
+    EXPECT_EQ(json::number_shortest(bad), "null");
+  }
+  Rng rng(7);
+  for (int i = 0; i < 200; ++i) {
+    const double v = std::ldexp(rng.uniform() - 0.5, rng.uniform_int(-1070, 1020));
+    EXPECT_EQ(json::parse(json::number_exact(v)).number, v);
+    EXPECT_EQ(json::parse(json::number_shortest(v)).number, v);
+  }
 }
 
 }  // namespace

@@ -201,8 +201,20 @@ TEST(FaultJson, MalformedInputsRejected) {
   EXPECT_THROW(
       faults::parse_fault_plan_json(R"({"faults": [{"kind": "straggler"}]})"),
       faults::FaultPlanError);
+  // Arithmetic is not a number: the onset must not load as its prefix 4.
+  EXPECT_THROW(faults::parse_fault_plan_json(
+                   R"({"faults": [{"kind": "device_failure", "device": 0, "onset_step": 4+1}]})"),
+               faults::FaultPlanError);
   EXPECT_THROW(faults::load_fault_plan("/nonexistent/plan.json"),
                faults::FaultPlanError);
+}
+
+TEST(FaultJson, UnicodeEscapesDecode) {
+  // "\u0066" is 'f': the kind reads as "device_failure".
+  const FaultPlan plan = faults::parse_fault_plan_json(
+      R"([{"kind": "device_\u0066ailure", "device": 0, "onset_step": 1}])");
+  ASSERT_EQ(plan.events.size(), 1u);
+  EXPECT_EQ(plan.events[0].kind, FaultKind::kDeviceFailure);
 }
 
 // Plan validation -----------------------------------------------------------
@@ -739,6 +751,9 @@ TEST(FaultJson, DomainKindsRequireTheirFields) {
                faults::FaultPlanError);
   EXPECT_THROW(faults::parse_fault_plan_json(
                    R"([{"kind": "switch_degradation", "level": 0, "onset_step": 1}])"),
+               faults::FaultPlanError);
+  EXPECT_THROW(faults::parse_fault_plan_json(
+                   R"([{"kind": "rack_failure", "rack": 0, "onset_step": 4+1}])"),
                faults::FaultPlanError);
 }
 

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -152,6 +153,15 @@ TEST(MetricsSnapshot, JsonIsDeterministic) {
   EXPECT_NE(a.snapshot().to_json().find("\"a.first.count\":1"), std::string::npos);
 }
 
+TEST(MetricsSnapshot, NonFiniteGaugeIsWrittenAsNull) {
+  MetricsRegistry registry;
+  registry.set("m.nan.ratio", std::numeric_limits<double>::quiet_NaN());
+  registry.set("m.inf.ms", std::numeric_limits<double>::infinity());
+  EXPECT_EQ(registry.snapshot().to_json(),
+            "{\"counters\":{},\"gauges\":{\"m.inf.ms\":null,\"m.nan.ratio\":null},"
+            "\"histograms\":{}}");
+}
+
 // ---------------------------------------------------------------------------
 // EventLog
 
@@ -176,11 +186,17 @@ TEST(EventLog, JsonlRoundTripPreservesEveryScalarKind) {
     log.emit(Event("run_checkpoint")
                  .with("path", "dir/with \"quotes\" and \\slashes\\\n")
                  .with("ok", false));
-    EXPECT_EQ(log.events_emitted(), 2u);
+    // Non-finite doubles have no JSON number form: they are written as null
+    // and the line still reads back.
+    log.emit(Event("run_step")
+                 .with("step_ms", std::numeric_limits<double>::quiet_NaN())
+                 .with("slow_ms", std::numeric_limits<double>::infinity())
+                 .with("fast_ms", -std::numeric_limits<double>::infinity()));
+    EXPECT_EQ(log.events_emitted(), 3u);
   }
 
   const std::vector<ParsedEvent> events = read_events(path);
-  ASSERT_EQ(events.size(), 2u);
+  ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].version, EventLog::kSchemaVersion);
   EXPECT_EQ(events[0].seq, 0u);
   EXPECT_EQ(events[1].seq, 1u);
@@ -195,6 +211,10 @@ TEST(EventLog, JsonlRoundTripPreservesEveryScalarKind) {
   EXPECT_EQ(events[1].str("path"), "dir/with \"quotes\" and \\slashes\\\n");
   EXPECT_EQ(events[1].number("ok"), 0.0);
   EXPECT_EQ(events[1].number("missing", -3.0), -3.0);
+  for (const char* key : {"step_ms", "slow_ms", "fast_ms"}) {
+    EXPECT_EQ(events[2].str(key), "null") << key;
+    EXPECT_EQ(events[2].number(key, -3.0), -3.0) << key;
+  }
   fs::remove(path);
 }
 
@@ -219,6 +239,10 @@ TEST(EventLog, ReaderRejectsMalformedLines) {
   write("{\"v\":999,\"seq\":0,\"type\":\"run_start\"}\n");  // future schema
   EXPECT_THROW(read_events(path), EventLogError);
   write("{\"v\":1,\"seq\":0,\"type\":\"run_start\",\"nested\":{\"x\":1}}\n");
+  EXPECT_THROW(read_events(path), EventLogError);
+  write("{\"v\":1,\"seq\":0,\"type\":\"run_step\",\"step_ms\":12abc}\n");  // not a number
+  EXPECT_THROW(read_events(path), EventLogError);
+  write("{\"v\":1,\"seq\":-1,\"type\":\"run_step\"}\n");  // seq is unsigned
   EXPECT_THROW(read_events(path), EventLogError);
   EXPECT_THROW(read_events("/no/such/file.jsonl"), EventLogError);
   fs::remove(path);

@@ -1,7 +1,9 @@
 // Property/fuzz tests for every text parser that accepts untrusted bytes:
-// strategy::from_text / parse_plan, faults::parse_fault_plan_json /
-// load_fault_plan and ckpt::parse_journal. A deterministic Rng drives
-// truncations, bit flips, garbage extensions, splices and fully random
+// strategy::from_text / parse_plan; the JSON reader json::parse and its
+// schema walkers faults::parse_fault_plan_json / load_fault_plan,
+// cluster::parse_topo_gen_json and obs::read_events; ckpt::parse_journal;
+// the plan store's journal; and the server wire protocol. A deterministic Rng
+// drives truncations, bit flips, garbage extensions, splices and fully random
 // buffers; the property under test is uniform — a parser may reject input
 // only through its typed error (or nullopt), and must never crash, hang or
 // trip a sanitizer. The `fuzz` ctest label runs this binary under
@@ -19,11 +21,14 @@
 
 #include "ckpt/journal.h"
 #include "cluster/cluster.h"
+#include "cluster/topology.h"
 #include "common/check.h"
+#include "common/json.h"
 #include "common/record_io.h"
 #include "common/rng.h"
 #include "compile/dist_graph.h"
 #include "faults/faults.h"
+#include "obs/event_log.h"
 #include "server/protocol.h"
 #include "sim/plan_eval.h"
 #include "sim_oracle.h"
@@ -202,6 +207,73 @@ TEST(Fuzz, JournalParseNeverCrashes) {
         [](const std::string& text) { (void)ckpt::parse_journal(text); }, input,
         "parse_journal");
   }
+}
+
+// JSON: the one reader (common/json) and its three schema walkers ----------
+
+std::string valid_topo_json() {
+  return cluster::topo_gen_to_json(*cluster::topo_preset("pod64"));
+}
+
+std::string valid_event_log() {
+  return obs::Event("run_start").with("steps", 6).with("model", "fuzz").to_json(0) + "\n" +
+         obs::Event("run_step")
+             .with("step", 1)
+             .with("step_ms", 12.625)
+             .with("lost_ms", std::numeric_limits<double>::quiet_NaN())
+             .with("ok", true)
+             .to_json(1) +
+         "\n" +
+         obs::Event("run_checkpoint").with("path", "dir/\"q\"\\\t\x01").to_json(2) + "\n";
+}
+
+/// Every JSON document the fuzzers mutate, plus the grammar's corners: all
+/// escapes, a surrogate pair, exponents, literals and deep nesting.
+std::vector<std::string> json_seeds() {
+  return {valid_fault_json(),
+          valid_topo_json(),
+          valid_event_log().substr(0, valid_event_log().find('\n')),
+          R"({"s": "\" \\ \/ \b \f \n \r \t \u00e9 \ud83d\ude00", "n": [-0, 0.5e-3, 1E+9, 12],)"
+          R"( "l": [true, false, null, {}, []]})",
+          std::string(200, '[') + std::string(200, ']')};
+}
+
+TEST(Fuzz, JsonReaderNeverCrashes) {
+  Rng rng(0xF00C);
+  const std::vector<std::string> seeds = json_seeds();
+  for (int i = 0; i < kRounds * 2; ++i) {
+    const std::string input = mutate(rng, seeds[static_cast<size_t>(i) % seeds.size()]);
+    expect_typed<json::ParseError>(
+        [](const std::string& text) { (void)json::parse(text); }, input, "json::parse");
+  }
+}
+
+TEST(Fuzz, TopoSpecJsonNeverCrashes) {
+  Rng rng(0xF00D);
+  const std::string seed = valid_topo_json();
+  for (int i = 0; i < kRounds; ++i) {
+    const std::string input = mutate(rng, seed);
+    expect_typed<cluster::TopoSpecError>(
+        [](const std::string& text) { (void)cluster::parse_topo_gen_json(text); }, input,
+        "parse_topo_gen_json");
+  }
+}
+
+TEST(Fuzz, EventLogReadNeverCrashes) {
+  Rng rng(0xF00E);
+  const std::string seed = valid_event_log();
+  const fs::path dir =
+      fs::temp_directory_path() / ("heterog_fuzz_events_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::string path = (dir / "events.jsonl").string();
+  for (int i = 0; i < kRounds; ++i) {
+    const std::string input = mutate(rng, seed);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << input;
+    expect_typed<obs::EventLogError>(
+        [&](const std::string&) { (void)obs::read_events(path); }, input, "read_events");
+  }
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 }
 
 std::string valid_store_journal() {
@@ -555,6 +627,10 @@ TEST(Fuzz, ValidSeedsStillParse) {
   EXPECT_NO_THROW((void)strategy::parse_plan(valid_plan_v2(), cluster));
   EXPECT_NO_THROW((void)faults::parse_fault_plan_json(valid_fault_json()));
   EXPECT_NO_THROW((void)ckpt::parse_journal(valid_journal()));
+  EXPECT_NO_THROW((void)cluster::parse_topo_gen_json(valid_topo_json()));
+  for (const std::string& seed : json_seeds()) {
+    EXPECT_NO_THROW((void)json::parse(seed)) << seed.substr(0, 120);
+  }
   {
     server::PlanRequest req;
     server::PlanReply rep;
@@ -574,6 +650,8 @@ TEST(Fuzz, ValidSeedsStillParse) {
   fs::create_directories(dir);
   std::ofstream((dir / "evals.journal").string(), std::ios::binary)
       << valid_store_journal();
+  std::ofstream((dir / "events.jsonl").string(), std::ios::binary) << valid_event_log();
+  EXPECT_EQ(obs::read_events((dir / "events.jsonl").string()).size(), 3u);
   store::PlanStoreOptions options;
   options.dir = dir.string();
   store::PlanStore store(options);

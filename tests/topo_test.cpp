@@ -150,6 +150,9 @@ TEST(TopoGen, ParserRejectsMalformedSpecs) {
       "{\"gpu_mix\": [\"v100\"]}",          // mix must be an object
       "{\"gpu_mix\": {\"v100\": \"x\"}}",   // weight must be a number
       "{\"racks\": 2",                      // unterminated object
+      "{\"racks\": 1-2}",                   // not a number, not "1"
+      "{\"racks\": 3e}",                    // exponent without digits
+      "{\"racks\": 02}",                    // leading zero
   };
   for (const std::string& text : bad) {
     EXPECT_THROW(cluster::parse_topo_gen_json(text), cluster::TopoSpecError) << text;
