@@ -6,16 +6,16 @@
 //   1. generates the cluster twice from the same options and asserts the
 //      canonical JSON descriptions are byte-identical (and the planning
 //      fingerprints equal) — the "same seed, same cluster" wall;
-//   2. runs the CLI's heuristic planning path (profile -> encode ->
+//   2. runs the CLI's heuristic planning path (profile -> group ->
 //      heuristic candidates -> batch evaluate -> compile -> evaluate) twice
 //      and asserts the serialized winning plans are bit-identical;
 //   3. times one planning pass and gates the largest preset at < 10 s —
 //      the budget that keeps `heterog_cli plan --cluster-gen dc1000`
 //      interactive. Exit code is nonzero on any violation.
 //
-// Smoke mode (HETEROG_BENCH_FAST=1, the CI configuration) runs the two
-// small presets only; the wall-clock gate applies to whichever preset is
-// largest in the selected set. HETEROG_BENCH_JSON carries the per-size
+// Smoke mode (HETEROG_BENCH_FAST=1) runs the two small presets only; the
+// wall-clock gate applies to whichever preset is largest in the selected
+// set. CI runs both modes. HETEROG_BENCH_JSON carries the per-size
 // gauges (bench.topo_plan_wall_<preset>.ms).
 #include <chrono>
 #include <cstdio>
@@ -50,14 +50,16 @@ PlanOutcome heuristic_plan(const cluster::ClusterSpec& cluster,
   profiler::Profiler prof(hardware, /*seed=*/1);
   const auto cost_model = prof.profile(graph);
 
-  const agent::EncodedGraph encoded = agent::encode_graph(graph, *cost_model, max_groups());
+  // As make_plan's heuristic-only path: the grouping without node features.
+  const strategy::Grouping grouping =
+      strategy::Grouping::build(graph, *cost_model, max_groups());
   rl::TrainConfig config;
   config.skip_unroll_on_oom = true;  // as make_plan's heuristic-only path
   rl::Trainer trainer(*cost_model, config);
   const std::vector<strategy::StrategyMap> candidates =
-      trainer.heuristic_candidates(graph, encoded.grouping);
+      trainer.heuristic_candidates(graph, grouping);
   const std::vector<rl::Evaluation> evals =
-      trainer.evaluate_batch(graph, encoded.grouping, candidates);
+      trainer.evaluate_batch(graph, grouping, candidates);
 
   PlanOutcome out;
   strategy::StrategyMap best;
@@ -78,7 +80,8 @@ PlanOutcome heuristic_plan(const cluster::ClusterSpec& cluster,
   profiler::GroundTruthCosts ground_truth(hardware);
   sim::PlanEvalOptions options;
   const sim::PlanEvaluation deployment =
-      sim::evaluate_plan(ground_truth, graph, encoded.grouping, best, options);
+      sim::evaluate_plan(ground_truth, graph, grouping, best, options,
+                         /*scratch=*/nullptr, trainer.eval_engine().pool());
 
   out.plan_text = strategy::to_text(best, cluster);
   out.time_ms = deployment.per_iteration_ms;
@@ -145,9 +148,7 @@ int main() {
     }
 
     metrics.set(gauge_name(preset), wall_ms);
-    if (wall_ms > largest_wall_ms || largest_preset.empty()) {
-      // The presets grow monotonically; remember the largest for the gate.
-    }
+    // The presets grow monotonically; the last one is the largest, for the gate.
     largest_wall_ms = wall_ms;
     largest_preset = preset;
 

@@ -41,20 +41,14 @@ PlanResult make_plan(const graph::GraphDef& training_graph,
   profiler::Profiler prof(*plan.hardware, config.profiler_seed);
   plan.cost_model = prof.profile(training_graph);
 
-  // Strategy Maker.
-  const agent::EncodedGraph encoded =
-      agent::encode_graph(training_graph, *plan.cost_model, config.agent.max_groups);
-  plan.grouping = encoded.grouping;
-
   rl::TrainConfig train_config = config.train;
   train_config.episodes = rl_episodes;
+  const bool rl_search = with_rl && train_config.episodes > 0;
   // The heuristic-only reduce below reads only `oom` and the feasible
   // winner's time, so rejected candidates can skip the steady-state unroll
   // (~40% of an evaluation at 1000 GPUs). The RL search keeps the full
   // evaluation: OOM rewards feed its gradients.
-  if (!(with_rl && train_config.episodes > 0)) {
-    train_config.skip_unroll_on_oom = true;
-  }
+  if (!rl_search) train_config.skip_unroll_on_oom = true;
   if (config.plan_store != nullptr) {
     // The engine's plan_key deliberately omits cluster / cost-model identity
     // (its LRU is scoped per Trainer); the durable store is not, so salt its
@@ -69,10 +63,18 @@ PlanResult make_plan(const graph::GraphDef& training_graph,
             .digest();
   }
   rl::Trainer trainer(*plan.cost_model, train_config);
-  if (with_rl && train_config.episodes > 0) {
+  // Strategy Maker. Only the policy reads node features; the heuristic path
+  // builds just the grouping (encode_graph's feature matrix costs ~0.4 s at
+  // 1000 GPUs).
+  if (rl_search) {
+    const agent::EncodedGraph encoded =
+        agent::encode_graph(training_graph, *plan.cost_model, config.agent.max_groups);
+    plan.grouping = encoded.grouping;
     agent::PolicyNetwork policy(cluster.device_count(), config.agent);
     plan.search = trainer.search(policy, encoded);
   } else {
+    plan.grouping = strategy::Grouping::build(training_graph, *plan.cost_model,
+                                              config.agent.max_groups);
     // Heuristic-only mode: evaluate warm-start candidates (one parallel
     // batch across config.train.threads workers) and keep the best — the
     // ordered reduce makes the pick independent of the thread count.
@@ -128,8 +130,11 @@ PlanResult make_plan(const graph::GraphDef& training_graph,
   options.policy = config.use_order_scheduling ? sched::OrderPolicy::kRankPriority
                                                : sched::OrderPolicy::kFifo;
   options.collect_utilization = true;  // deployment path: one extra rank pass
+  // The search is done, so the engine's pool is idle and this call is
+  // outside it: the deployment evaluation fans its pieces out there.
   plan.deployment = sim::evaluate_plan(ground_truth, training_graph, plan.grouping,
-                                       plan.strategy, options);
+                                       plan.strategy, options, /*scratch=*/nullptr,
+                                       trainer.eval_engine().pool());
   emit_schedule_events(config.events, plan.deployment, cluster.device_count());
   return plan;
 }

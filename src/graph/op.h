@@ -44,8 +44,10 @@ enum class OpKind : uint8_t {
   // Structural ops inserted by the Graph Compiler.
   kSplit,
   kConcat,
-  kIdentity,
+  kIdentity,  // keep last: kOpKindCount counts through it
 };
+
+inline constexpr int kOpKindCount = static_cast<int>(OpKind::kIdentity) + 1;
 
 const char* op_kind_name(OpKind kind);
 

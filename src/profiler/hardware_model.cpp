@@ -184,12 +184,17 @@ double HardwareModel::op_time_ms(const graph::OpDef& op, double batch,
   return kKernelLaunchMs + flops / effective_rate;
 }
 
+HardwareModel::Link HardwareModel::link(cluster::DeviceId from,
+                                        cluster::DeviceId to) const {
+  const double bandwidth = cluster_->link_bandwidth_bytes_per_ms(from, to);
+  return Link{cluster_->link_latency_ms(from, to), bandwidth};
+}
+
 double HardwareModel::transfer_time_ms(int64_t bytes, cluster::DeviceId from,
                                        cluster::DeviceId to) const {
   check(bytes >= 0, "transfer_time_ms: negative bytes");
   if (from == to) return 0.0;
-  const double bw = cluster_->link_bandwidth_bytes_per_ms(from, to);
-  return cluster_->link_latency_ms(from, to) + static_cast<double>(bytes) / bw;
+  return link(from, to).transfer_time_ms(bytes);
 }
 
 }  // namespace heterog::profiler

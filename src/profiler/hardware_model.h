@@ -25,6 +25,22 @@ class HardwareModel {
   /// Execution time of `op` processing `batch` samples on device `dev`.
   double op_time_ms(const graph::OpDef& op, double batch, cluster::DeviceId dev) const;
 
+  /// Latency and bandwidth of one (from -> to) link, the inputs of the
+  /// transfer-time formula. Read once per pair by loops that price many
+  /// transfer sizes over the same link.
+  struct Link {
+    double latency_ms = 0.0;
+    double bandwidth_bytes_per_ms = 0.0;
+
+    /// Time to move `bytes` (>= 0, unchecked) over this link.
+    double transfer_time_ms(int64_t bytes) const {
+      return latency_ms + static_cast<double>(bytes) / bandwidth_bytes_per_ms;
+    }
+  };
+
+  /// The (from -> to) link; `from != to`.
+  Link link(cluster::DeviceId from, cluster::DeviceId to) const;
+
   /// Time to move `bytes` over the (from -> to) link.
   double transfer_time_ms(int64_t bytes, cluster::DeviceId from,
                           cluster::DeviceId to) const;

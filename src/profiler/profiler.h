@@ -11,8 +11,8 @@
 // multiplicative noise (seeded Rng) standing in for real kernel-time jitter.
 #pragma once
 
-#include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -30,7 +30,7 @@ struct ProfilerOptions {
   int repetitions = 3;
   /// Multiplicative measurement noise stddev (e.g. 0.03 = 3%).
   double noise_stddev = 0.02;
-  /// Transfer probe sizes in bytes.
+  /// Transfer probe sizes in bytes (each >= 0).
   std::vector<int64_t> transfer_probe_bytes{64 * 1024, 1 * 1024 * 1024,
                                             16 * 1024 * 1024, 128 * 1024 * 1024};
 };
@@ -63,8 +63,9 @@ class CostModel final : public CostProvider {
   // devices the per-row vector indirection costs a cache miss per lookup in
   // the compile hot path.
   std::vector<LinearFit> op_fits_;
-  // [kind][device] -> time(flops) fit, fallback for synthesised ops.
-  std::map<std::pair<int, int>, LinearFit> kind_fits_;
+  // [kind * device_count + device] -> time(flops) fit, fallback for
+  // synthesised ops; empty for kinds the profiled graph does not contain.
+  std::vector<std::optional<LinearFit>> kind_fits_;
   // [from * device_count + to] -> time(bytes) fit, flat for the same reason.
   std::vector<LinearFit> link_fits_;
 };

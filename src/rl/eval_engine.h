@@ -111,6 +111,10 @@ class EvalEngine {
   void clear_cache();
 
   int threads() const { return options_.threads; }
+  /// The worker pool (null when threads <= 1), for a caller outside the pool
+  /// that fans out work of its own between batches (make_plan's deployment
+  /// sim::evaluate_plan). Never use it from inside an engine task.
+  ThreadPool* pool() const { return pool_.get(); }
   bool cache_enabled() const { return options_.cache_capacity > 0; }
   store::PlanStore* plan_store() const { return options_.plan_store; }
 

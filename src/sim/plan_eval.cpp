@@ -1,10 +1,12 @@
 #include "sim/plan_eval.h"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 
 #include "common/check.h"
 #include "common/hash.h"
+#include "common/thread_pool.h"
 #include "compile/compiler.h"
 #include "graph/training.h"
 #include "sched/scheduler.h"
@@ -108,7 +110,8 @@ PlanEvaluation evaluate_plan(const profiler::CostProvider& costs,
                              const graph::GraphDef& training_graph,
                              const strategy::Grouping& grouping,
                              const strategy::StrategyMap& strategy,
-                             PlanEvalOptions options, PlanEvalScratch* scratch) {
+                             PlanEvalOptions options, PlanEvalScratch* scratch,
+                             ThreadPool* pool) {
   check(options.unroll_iterations >= 1, "evaluate_plan: bad unroll");
   // Node names are write-only below this point (PlanEvaluation reports
   // resource names, never node names) — skip building them in the hot loop.
@@ -117,79 +120,117 @@ PlanEvaluation evaluate_plan(const profiler::CostProvider& costs,
   compiler_options.validate_output = false;  // asserted structure, not results
   const compile::GraphCompiler compiler(costs, compiler_options);
 
-  // One simulation entry point: builds the flat CompactGraph once per
-  // distinct graph and reuses the per-thread workspace across the candidate
-  // runs (zero allocations after warm-up).
-  const compile::DistGraph* built_for = nullptr;
-  auto simulate = [&](const compile::DistGraph& graph,
-                      const std::vector<double>& priorities,
-                      const SimOptions& sim_opts) -> SimResult {
-    SimWorkspace& ws = thread_workspace();
-    if (built_for != &graph) {
-      validate_for_simulation(graph);
-      ws.graph.build(graph);
-      built_for = &graph;
+  const auto compiled = compiler.compile(training_graph, grouping, strategy);
+  SimOptions sim_options;
+  sim_options.policy = options.policy;
+  sim_options.usable_memory_fraction = options.usable_memory_fraction;
+
+  // Steady state: the unrolled training graph and its compile. The unroll is
+  // strategy-independent, so the scratch (when provided) serves it from its
+  // cache after the first plan of a (graph, grouping, k) triple.
+  std::shared_ptr<const PlanEvalScratch::Unrolled> unrolled;
+  std::optional<compile::CompileResult> unrolled_compiled;
+  const auto compile_unrolled = [&] {
+    const int k = options.unroll_iterations;
+    if (scratch != nullptr) {
+      unrolled = scratch->unrolled(training_graph, grouping, k);
+    } else {
+      unrolled = std::make_shared<const PlanEvalScratch::Unrolled>(
+          PlanEvalScratch::Unrolled{graph::unroll_iterations(training_graph, k),
+                                    strategy::Grouping::unroll(grouping, k)});
     }
-    return run_core(ws.graph, priorities, sim_opts, ws);
+    unrolled_compiled.emplace(
+        compiler.compile(unrolled->graph, unrolled->grouping, strategy));
   };
 
-  // Single iteration: memory + breakdown + cold makespan.
+  // The single-iteration runs (memory + breakdown + cold makespan) and the
+  // unroll compile are independent pieces of work. With a pool they fan out;
+  // without one they run in order on the caller. Every piece writes only its
+  // own result, so the two are bit-identical. The rank tryouts share one
+  // read-only CompactGraph, the snapshot in the calling thread's workspace
+  // (run_core never writes a workspace's graph), and each simulates in the
+  // workspace of the thread that runs it.
   //
   // For HeteroG's order policy the Scheduler is simulator-driven: it tries
   // the resource-chained ranks, the plain upward ranks and the FIFO order on
   // the compiled graph and enforces whichever finishes first (list
   // scheduling has no universally dominant priority rule; simulating the
   // candidates is exactly what the paper's Scheduler/Simulator pair is for).
-  const auto compiled = compiler.compile(training_graph, grouping, strategy);
-  SimOptions sim_options;
-  sim_options.policy = options.policy;
-  sim_options.usable_memory_fraction = options.usable_memory_fraction;
+  //
+  // The chained-rank candidate usually wins the tryout, so it alone runs
+  // with memory tracking on; the two challengers run without (tracking
+  // writes memory arrays but never influences dispatch order, so their
+  // makespans are unaffected). When a challenger does take the lead it is
+  // re-simulated with tracking — simulation is deterministic, so the result
+  // is bit-identical to having tracked it from the start, and the common
+  // case skips two full memory passes per evaluation.
+  const bool rank_policy = options.policy == sched::OrderPolicy::kRankPriority;
+  SimWorkspace& caller_ws = thread_workspace();
+  const CompactGraph& compact = caller_ws.graph;
+  std::vector<compile::DistNodeId> topo;
+  if (rank_policy) {
+    validate_for_simulation(compiled.graph);
+    caller_ws.graph.build(compiled.graph);
+    topo = compiled.graph.topological_order();
+  }
+  SimOptions trial_options = sim_options;
+  trial_options.track_memory = false;
+  SimOptions fifo_options = sim_options;
+  fifo_options.policy = sched::OrderPolicy::kFifo;
+  SimOptions fifo_trial = fifo_options;
+  fifo_trial.track_memory = false;
+  const std::vector<double> zeros(
+      rank_policy ? static_cast<size_t>(compiled.graph.node_count()) : 0, 0.0);
+  std::vector<double> plain_ranks;
+  SimResult single, plain, fifo;
 
-  SimResult single;
+  std::vector<std::function<void()>> pieces;
+  if (rank_policy) {
+    pieces.emplace_back([&] {
+      single = run_core(compact, sched::rank_priorities(compiled.graph, topo),
+                        sim_options, thread_workspace());
+    });
+    pieces.emplace_back([&] {
+      plain_ranks = sched::compute_ranks(compiled.graph, topo, {});
+      plain = run_core(compact, plain_ranks, trial_options, thread_workspace());
+    });
+    pieces.emplace_back(
+        [&] { fifo = run_core(compact, zeros, fifo_trial, thread_workspace()); });
+  } else {
+    pieces.emplace_back(
+        [&] { single = evaluate(compiled.graph, costs.cluster(), sim_options); });
+  }
+  // An OOM plan under skip_unroll_on_oom never reads the unroll, so it is
+  // compiled after the OOM check instead.
+  if (options.unroll_iterations > 1 && !options.skip_unroll_on_oom) {
+    pieces.emplace_back(compile_unrolled);
+  }
+  if (pool != nullptr) {
+    pool->parallel_for(pieces.size(), [&](size_t i) { pieces[i](); });
+  } else {
+    for (const auto& piece : pieces) piece();
+  }
+
   bool chained_rank_won = true;
-  if (options.policy == sched::OrderPolicy::kRankPriority) {
-    const auto topo = compiled.graph.topological_order();
-    // The chained-rank candidate usually wins the tryout, so it alone runs
-    // with memory tracking on; the two challengers run without (tracking
-    // writes memory arrays but never influences dispatch order, so their
-    // makespans are unaffected). When a challenger does take the lead it is
-    // re-simulated with tracking — simulation is deterministic, so the
-    // result is bit-identical to having tracked it from the start, and the
-    // common case skips two full memory passes per evaluation.
-    single = simulate(compiled.graph, sched::rank_priorities(compiled.graph, topo),
-                      sim_options);
-    SimOptions trial_options = sim_options;
-    trial_options.track_memory = false;
-    const std::vector<double> plain_ranks =
-        sched::compute_ranks(compiled.graph, topo, {});
-    const SimResult plain = simulate(compiled.graph, plain_ranks, trial_options);
+  if (rank_policy) {
     bool rerun_winner = false;
     if (plain.makespan_ms < single.makespan_ms) {
-      single = plain;
+      single = std::move(plain);
       chained_rank_won = false;
       rerun_winner = true;
     }
-    SimOptions fifo_options = sim_options;
-    fifo_options.policy = sched::OrderPolicy::kFifo;
-    SimOptions fifo_trial = fifo_options;
-    fifo_trial.track_memory = false;
-    const std::vector<double> zeros(static_cast<size_t>(compiled.graph.node_count()),
-                                    0.0);
-    const SimResult fifo = simulate(compiled.graph, zeros, fifo_trial);
     bool fifo_won = false;
     if (fifo.makespan_ms < single.makespan_ms) {
-      single = fifo;
+      single = std::move(fifo);
       sim_options.policy = sched::OrderPolicy::kFifo;  // carry into the unroll
       fifo_won = true;
       rerun_winner = true;
     }
     if (rerun_winner && sim_options.track_memory) {
-      single = fifo_won ? simulate(compiled.graph, zeros, fifo_options)
-                        : simulate(compiled.graph, plain_ranks, sim_options);
+      single = fifo_won ? run_core(compact, zeros, fifo_options, caller_ws)
+                        : run_core(compact, plain_ranks, sim_options, caller_ws);
     }
     apply_oom_check(single, costs.cluster(), options.usable_memory_fraction);
-  } else {
-    single = evaluate(compiled.graph, costs.cluster(), sim_options);
   }
 
   PlanEvaluation eval;
@@ -207,36 +248,24 @@ PlanEvaluation evaluate_plan(const profiler::CostProvider& costs,
     return eval;
   }
 
-  // Steady state: unroll and difference out the pipeline fill. The unroll is
-  // strategy-independent, so the scratch (when provided) serves it from its
-  // cache after the first plan of a (graph, grouping, k) triple.
-  std::shared_ptr<const PlanEvalScratch::Unrolled> cached;
-  std::optional<PlanEvalScratch::Unrolled> local;
-  if (scratch != nullptr) {
-    cached = scratch->unrolled(training_graph, grouping, options.unroll_iterations);
-  } else {
-    local.emplace(PlanEvalScratch::Unrolled{
-        graph::unroll_iterations(training_graph, options.unroll_iterations),
-        strategy::Grouping::unroll(grouping, options.unroll_iterations)});
-  }
-  const PlanEvalScratch::Unrolled& unrolled = scratch != nullptr ? *cached : *local;
-  const auto unrolled_compiled =
-      compiler.compile(unrolled.graph, unrolled.grouping, strategy);
+  // Steady state: difference out the pipeline fill.
+  if (!unrolled_compiled) compile_unrolled();
+  const compile::DistGraph& steady_graph = unrolled_compiled->graph;
   SimOptions steady_options = sim_options;
   steady_options.track_memory = false;
   std::vector<double> steady_priorities;
   if (steady_options.policy == sched::OrderPolicy::kRankPriority) {
-    const auto topo = unrolled_compiled.graph.topological_order();
-    steady_priorities =
-        chained_rank_won
-            ? sched::rank_priorities(unrolled_compiled.graph, topo)
-            : sched::compute_ranks(unrolled_compiled.graph, topo, {});
+    const auto steady_topo = steady_graph.topological_order();
+    steady_priorities = chained_rank_won
+                            ? sched::rank_priorities(steady_graph, steady_topo)
+                            : sched::compute_ranks(steady_graph, steady_topo, {});
   } else {
-    steady_priorities.assign(static_cast<size_t>(unrolled_compiled.graph.node_count()),
-                             0.0);
+    steady_priorities.assign(static_cast<size_t>(steady_graph.node_count()), 0.0);
   }
+  validate_for_simulation(steady_graph);
+  caller_ws.graph.build(steady_graph);
   const double t_k =
-      simulate(unrolled_compiled.graph, steady_priorities, steady_options).makespan_ms;
+      run_core(caller_ws.graph, steady_priorities, steady_options, caller_ws).makespan_ms;
   eval.per_iteration_ms =
       (t_k - single.makespan_ms) / static_cast<double>(options.unroll_iterations - 1);
   // Guard against degenerate overlap estimates (per-iteration time can never

@@ -22,6 +22,10 @@
 #include "sim/simulator.h"
 #include "strategy/strategy.h"
 
+namespace heterog {
+class ThreadPool;
+}  // namespace heterog
+
 namespace heterog::sim {
 
 /// One named communication resource's busy time over a single iteration
@@ -98,11 +102,18 @@ class PlanEvalScratch {
 /// Compiles `strategy` against `costs` and evaluates it. `scratch` (optional)
 /// memoises the strategy-independent unrolled graph across calls; results
 /// are bit-identical with and without it.
+///
+/// `pool` (optional) fans the independent pieces of one evaluation — the
+/// three single-iteration order tryouts and the unroll compile — out across
+/// its workers; results are bit-identical with and without it. The call
+/// blocks in `pool->parallel_for`, so it must come from outside that pool:
+/// never pass a pool from inside one of its own tasks.
 PlanEvaluation evaluate_plan(const profiler::CostProvider& costs,
                              const graph::GraphDef& training_graph,
                              const strategy::Grouping& grouping,
                              const strategy::StrategyMap& strategy,
                              PlanEvalOptions options = PlanEvalOptions(),
-                             PlanEvalScratch* scratch = nullptr);
+                             PlanEvalScratch* scratch = nullptr,
+                             ThreadPool* pool = nullptr);
 
 }  // namespace heterog::sim

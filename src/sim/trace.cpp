@@ -54,7 +54,8 @@ std::string chrome_trace_json(const compile::DistGraph& graph, const SimResult& 
                  0.0) *
         1000.0;
     os << ",{\"name\":" << json::quoted(node.name) << ",\"ph\":\"X\",\"pid\":0,"
-       << "\"tid\":" << resource << ",\"ts\":" << start_us << ",\"dur\":" << dur_us
+       << "\"tid\":" << resource << ",\"ts\":" << json::number_shortest(start_us)
+       << ",\"dur\":" << json::number_shortest(dur_us)
        << ",\"cat\":\"" << compile::node_kind_name(node.kind) << "\""
        << ",\"args\":{\"bytes\":" << node.output_bytes << "}}";
   }

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "agent/features.h"
 #include "agent/policy.h"
+#include "cluster/topology.h"
 #include "models/models.h"
+#include "profiler/profiler.h"
 #include "test_util.h"
 
 namespace heterog::agent {
@@ -23,6 +28,69 @@ TEST_F(AgentTest, FeatureMatrixShapeAndRange) {
       EXPECT_GE(encoded.features.at(r, c), -1.0 - 1e-9);
       EXPECT_LE(encoded.features.at(r, c), 1.0 + 1e-9);
     }
+  }
+}
+
+// The feature matrix as encode_graph built it before the per-size
+// transfer-mean memo: every op runs the full D^2 pair loop.
+nn::Matrix unmemoised_features(const graph::GraphDef& graph,
+                               const profiler::CostProvider& costs) {
+  const auto& cluster = costs.cluster();
+  const int n = graph.op_count();
+  const int dim = feature_dim(cluster.device_count());
+  nn::Matrix features(n, dim);
+  for (graph::OpId id = 0; id < n; ++id) {
+    const auto& op = graph.op(id);
+    int col = 0;
+    for (const auto& dev : cluster.devices()) {
+      features.at(id, col++) =
+          std::log1p(costs.op_time_ms(op, graph.global_batch(), dev.id));
+    }
+    const int64_t out_bytes = op.out_bytes(graph.global_batch());
+    double transfer_total = 0.0;
+    int pairs = 0;
+    for (const auto& a : cluster.devices()) {
+      for (const auto& b : cluster.devices()) {
+        if (a.id == b.id) continue;
+        transfer_total += costs.transfer_time_ms(out_bytes, a.id, b.id);
+        ++pairs;
+      }
+    }
+    features.at(id, col++) = std::log1p(transfer_total / std::max(pairs, 1));
+    features.at(id, col++) = std::log1p(static_cast<double>(out_bytes));
+    features.at(id, col++) = std::log1p(static_cast<double>(op.param_bytes));
+    features.at(id, col++) = op.batch_divisible ? 1.0 : 0.0;
+    features.at(id, col++) = graph::is_compute_intensive(op.kind) ? 1.0 : 0.0;
+    features.at(id, col++) = op.role == graph::OpRole::kForward ? 1.0 : 0.0;
+    features.at(id, col++) = op.role == graph::OpRole::kBackward ? 1.0 : 0.0;
+    features.at(id, col++) = op.role == graph::OpRole::kApply ? 1.0 : 0.0;
+  }
+  for (int c = 0; c < dim; ++c) {
+    double max_abs = 0.0;
+    for (int r = 0; r < n; ++r) max_abs = std::max(max_abs, std::abs(features.at(r, c)));
+    if (max_abs > 1.0) {
+      for (int r = 0; r < n; ++r) features.at(r, c) /= max_abs;
+    }
+  }
+  return features;
+}
+
+TEST(FeatureEncoding, MemoisedTransferMeanIsBitIdentical) {
+  const auto pod64 = cluster::generate_cluster(*cluster::topo_preset("pod64"));
+  const profiler::HardwareModel hardware(pod64);
+  for (const auto kind : {models::ModelKind::kVgg19, models::ModelKind::kInceptionV3}) {
+    const auto graph = models::build_training(kind, 0, 2.0 * pod64.device_count());
+    profiler::Profiler profiler(hardware, 3);
+    const auto costs = profiler.profile(graph);
+    const EncodedGraph encoded = encode_graph(graph, *costs, 48);
+    const nn::Matrix reference = unmemoised_features(graph, *costs);
+    ASSERT_EQ(encoded.features.rows(), reference.rows());
+    ASSERT_EQ(encoded.features.cols(), reference.cols());
+    EXPECT_EQ(std::memcmp(encoded.features.data(), reference.data(),
+                          sizeof(double) * static_cast<size_t>(reference.rows()) *
+                              static_cast<size_t>(reference.cols())),
+              0)
+        << graph.name();
   }
 }
 

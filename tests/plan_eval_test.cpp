@@ -226,20 +226,7 @@ TEST(Serialize, FileHelpers) {
 TEST(RepairOom, RescuesOverloadedMpPlan) {
   heterog::testing::TestRig rig(cluster::make_paper_testbed_8gpu());
   // A model whose single-device placement overflows but which fits spread out.
-  graph::GraphDef fwd("mid", 16.0);
-  graph::OpId prev = graph::kInvalidOp;
-  for (int i = 0; i < 12; ++i) {
-    graph::OpDef op;
-    op.name = "layer" + std::to_string(i);
-    op.kind = graph::OpKind::kConv2D;
-    op.flops_per_sample = 1e9;
-    op.out_bytes_per_sample = 96LL << 20;  // 96 MB/sample -> 1.5 GB per layer
-    op.param_bytes = 8 << 20;
-    const auto id = fwd.add_op(op);
-    if (prev != graph::kInvalidOp) fwd.add_edge(prev, id);
-    prev = id;
-  }
-  const auto train = graph::build_training_graph(fwd);
+  const auto train = heterog::testing::make_oversized_chain_training_graph();
   const auto grouping = strategy::Grouping::build(train, *rig.costs, 12);
   rl::TrainConfig config;
   rl::Trainer trainer(*rig.costs, config);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
+#include "cluster/topology.h"
+#include "common/hash.h"
 #include "graph/graph.h"
+#include "models/models.h"
 #include "profiler/hardware_model.h"
 #include "profiler/profiler.h"
 
@@ -155,6 +158,51 @@ TEST_F(ProfilerFitTest, AverageOpTimeBetweenExtremes) {
   const double slow = m->op_time_ms(g.op(0), 32.0, 2);
   EXPECT_GE(avg, fast);
   EXPECT_LE(avg, slow);
+}
+
+// Bit-identity wall for the profiler: a digest of every per-op and per-link
+// fit, plus the per-kind fallback as seen through op_time_ms of one
+// synthesised op per kind and device. Any change to the RNG draw order, the
+// ground-truth formulas or the fit arithmetic moves the digest, and with it
+// every plan built on the cost model.
+uint64_t profile_digest(const ClusterSpec& cluster, const graph::GraphDef& graph,
+                        uint64_t seed) {
+  const HardwareModel hw(cluster);
+  Profiler profiler(hw, seed);
+  const auto model = profiler.profile(graph);
+  Hash64 h;
+  const auto mix_fit = [&](const LinearFit& fit) {
+    h.mix_double(fit.slope).mix_double(fit.intercept).mix_double(fit.r_squared);
+  };
+  const int devices = cluster.device_count();
+  for (graph::OpId id = 0; id < graph.op_count(); ++id) {
+    for (int d = 0; d < devices; ++d) mix_fit(model->op_fit(id, d));
+  }
+  for (int a = 0; a < devices; ++a) {
+    for (int b = 0; b < devices; ++b) {
+      if (a != b) mix_fit(model->link_fit(a, b));
+    }
+  }
+  for (int k = 0; k < graph::kOpKindCount; ++k) {
+    OpDef synth = make_op(static_cast<OpKind>(k), 0.75);
+    synth.id = graph::kInvalidOp;  // not a profiled op: the kind fallback
+    for (int d = 0; d < devices; ++d) {
+      h.mix_double(model->op_time_ms(synth, graph.global_batch() / 3.0, d));
+    }
+  }
+  return h.digest();
+}
+
+TEST(ProfilerDigest, FitsAreBitIdenticalOnPod64AndPaperTestbed) {
+  const ClusterSpec pod64 = cluster::generate_cluster(*cluster::topo_preset("pod64"));
+  const auto vgg = models::build_training(models::ModelKind::kVgg19, 0, 128.0);
+  const uint64_t pod64_digest = profile_digest(pod64, vgg, 5);
+  EXPECT_EQ(pod64_digest, 0xb861a471783faec7ULL) << std::hex << pod64_digest;
+
+  const ClusterSpec testbed = cluster::make_paper_testbed_8gpu();
+  const auto inception = models::build_training(models::ModelKind::kInceptionV3, 0, 96.0);
+  const uint64_t testbed_digest = profile_digest(testbed, inception, 1);
+  EXPECT_EQ(testbed_digest, 0xe4cbdfc16a8aac31ULL) << std::hex << testbed_digest;
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 
 #include "cluster/cluster.h"
 #include "compile/compiler.h"
@@ -35,6 +36,25 @@ inline graph::GraphDef make_toy_training_graph(double batch = 32.0) {
   fwd.add_edge(c1, c2);
   fwd.add_edge(c2, fc);
   fwd.add_edge(fc, loss);
+  return graph::build_training_graph(fwd);
+}
+
+/// A chain of 12 convolutions whose activations (96 MB/sample at batch 16)
+/// overflow one GPU: all on one device the plan is OOM, spread out it fits.
+inline graph::GraphDef make_oversized_chain_training_graph() {
+  graph::GraphDef fwd("mid", 16.0);
+  graph::OpId prev = graph::kInvalidOp;
+  for (int i = 0; i < 12; ++i) {
+    graph::OpDef op;
+    op.name = "layer" + std::to_string(i);
+    op.kind = graph::OpKind::kConv2D;
+    op.flops_per_sample = 1e9;
+    op.out_bytes_per_sample = 96LL << 20;  // 96 MB/sample -> 1.5 GB per layer
+    op.param_bytes = 8 << 20;
+    const auto id = fwd.add_op(op);
+    if (prev != graph::kInvalidOp) fwd.add_edge(prev, id);
+    prev = id;
+  }
   return graph::build_training_graph(fwd);
 }
 

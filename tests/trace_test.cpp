@@ -3,6 +3,7 @@
 #include <fstream>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "sim/trace.h"
 #include "test_util.h"
 
@@ -56,6 +57,39 @@ TEST_F(TraceTest, ChromeTraceEscapesNames) {
   const auto result = Simulator().run(g);
   const std::string json = chrome_trace_json(g, result);
   EXPECT_NE(json.find("weird\\\"name\\\\with\\nnewline"), std::string::npos);
+}
+
+TEST_F(TraceTest, TimestampsPastOneSecondStayDistinctAndRoundTrip) {
+  // A 1.5 s kernel followed by a chain of 4 us ones: the short events start
+  // 4 us apart at ~1.5e6 us, which six significant digits would collapse.
+  compile::DistGraph g(1);
+  compile::DistNodeId prev = -1;
+  for (int i = 0; i < 6; ++i) {
+    compile::DistNode n;
+    n.name = "k" + std::to_string(i);
+    n.kind = compile::NodeKind::kCompute;
+    n.device = 0;
+    n.duration_ms = i == 0 ? 1500.0 : 0.004;
+    const auto id = g.add_node(std::move(n));
+    if (prev >= 0) g.add_edge(prev, id);
+    prev = id;
+  }
+  const auto result = Simulator().run(g);
+  ASSERT_GT(result.makespan_ms, 1000.0);
+  const json::Value trace = json::parse(chrome_trace_json(g, result));
+  std::vector<double> timestamps;
+  for (const json::Value& event : trace.find("traceEvents")->array) {
+    if (event.find("ph")->text != "X") continue;
+    const size_t id = timestamps.size();
+    EXPECT_EQ(event.find("ts")->number, result.start_ms[id] * 1000.0);
+    EXPECT_EQ(event.find("dur")->number,
+              (result.finish_ms[id] - result.start_ms[id]) * 1000.0);
+    timestamps.push_back(event.find("ts")->number);
+  }
+  ASSERT_EQ(timestamps.size(), 6u);
+  for (size_t i = 1; i < timestamps.size(); ++i) {
+    EXPECT_LT(timestamps[i - 1], timestamps[i]) << "event " << i;
+  }
 }
 
 TEST_F(TraceTest, WriteChromeTraceToFile) {
